@@ -1,17 +1,22 @@
-"""Exact subcritical solution via total-progeny probabilities.
+"""Exact subcritical solution in closed form, evaluated in batch over a window.
 
 For t below the critical time, the solution of the reduced coagulation
 system is w_n(t) = (p_i / n_i) * P(T_i = n) for any component i with
-n_i > 0, where T_i is the total progeny (by type) of a multi-type Poisson
-branching process started from one type-i node.  The progeny probabilities
-come out of a power-series inversion as a signed sum over principal minors
-of A diag(p) times independent Poisson probabilities:
+n_i > 0 and p_i > 0, where T_i is the total progeny (by type) of a
+multitype Poisson branching process started from one type-i node: a type-l
+node has Poisson(t A_lj p_j) children of type j.  Multivariate Lagrange
+inversion in matrix-tree form (Good 1960; Chaumont & Liu, "Coding
+multitype forests", 2016) gives, with k = n - e_i and lam_l = t (nA)_l p_l,
 
-    P(T_i = n) = sum_I c_I * prod_l Poi(lam_l).pmf(n_l - [l in I] - [l == i])
-    c_I = (-t)^{|I|} det( (A diag(p))_{I,I} ),   lam_l = t * (n . A)_l * p_l
+    P(T_i = n) = det(I - B) * prod_l Poi(lam_l).pmf(k_l),
+    B = diag(k / nA) A,  taking k_l / (nA)_l = 0 where k_l = 0.
 
-Terms are accumulated with exact summation after factoring out the largest
-magnitude, so cancellation is tracked and flagged rather than silent.
+The determinant does not depend on t.  A window of compositions is one
+(cells, m) array, its determinants are one (cells, m, m) stack, and the
+cost is O(m^3) per cell with no limit on m.  Compositions that no tree of
+the process can produce are exact zeros, decided combinatorially rather
+than by rounding.  The 2^m principal minors of A diag(p) stay available
+through minor_table, but no solve goes through them.
 """
 
 from __future__ import annotations
@@ -21,25 +26,21 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.signal
 
-from .errors import (
-    CriticalityError,
-    NumericalBreakdownError,
-    SpecValidationError,
-)
+from .errors import NumericalBreakdownError, SpecValidationError
 from .model import (
     Composition,
     ModelSpec,
     SizeDistribution,
+    WindowMasses,
     as_composition,
     compositions_up_to,
 )
 from . import pgf
 
 MAX_MINOR_M = 20                 # 2^m coefficient table: refuse beyond this
-BREAKDOWN_FLOOR = -1e-10         # signed sums below this signal numerical breakdown
-PRECISION_RATIO = 1e-12          # |sum| / max addend below this flags precision loss
+BREAKDOWN_FLOOR = -1e-10         # det(I - B) below this on a reachable cell signals breakdown
+PRECISION_RATIO = 1e-12          # det(I - B) / its Hadamard bound below this flags precision loss
 SERIES_CAP_MULTI = 30            # dense-table degree limit for m >= 2
 SERIES_CAP_SINGLE = 1000         # one-dimensional tables stay cheap far beyond 30
 
@@ -114,30 +115,128 @@ def _minor_table_cached(spec: ModelSpec, t: float) -> MinorTable:
 
 @dataclass
 class ProgenyValue:
-    """One evaluated probability with its log and a cancellation flag."""
+    """One evaluated probability with its log and a precision flag."""
 
     value: float
     log_value: float
     precision_limited: bool
 
 
-def _require_subcritical(spec: ModelSpec, t: float) -> float:
-    tc = pgf.gelation_time(spec).T_c
-    if not 0.0 < t < tc:
-        raise CriticalityError(f"t={t!r} is not below the critical time T_c = {tc!r}")
-    return tc
+@lru_cache(maxsize=32)
+def _window_array(m: int, n_max: int) -> np.ndarray:
+    """compositions_up_to(m, n_max) as a read-only (cells, m) int array."""
+    out = np.array(compositions_up_to(m, n_max), dtype=np.int64)
+    out.flags.writeable = False
+    return out
+
+
+def _one_row(spec: ModelSpec, n) -> np.ndarray:
+    comp = as_composition(n, spec.m)
+    if sum(comp) < 1:
+        raise SpecValidationError("need |n| >= 1")
+    return np.array([comp], dtype=np.int64)
+
+
+def _tree_shaped(spec: ModelSpec, comps: np.ndarray) -> np.ndarray:
+    """Rows n for which some tree with n_l nodes of type l has only A > 0 edges.
+
+    That holds iff the kernel graph induced on supp(n) is connected and,
+    when n = N e_l, N = 1 or A_ll > 0.
+    """
+    supp = comps > 0
+    adj = (spec.A > 0.0).astype(float)
+    seen = np.zeros_like(supp)
+    seen[np.arange(len(comps)), supp.argmax(axis=1)] = True
+    while True:  # grow from one type of each row's support to its whole component
+        grown = supp & (seen | (seen @ adj > 0.0))
+        if np.array_equal(grown, seen):
+            break
+        seen = grown
+    connected = np.all(seen == supp, axis=1)
+    single = supp.sum(axis=1) == 1
+    loop = np.diagonal(spec.A)[supp.argmax(axis=1)] > 0.0
+    return connected & (~single | loop | (comps.sum(axis=1) == 1))
+
+
+def _log_progeny(spec: ModelSpec, t: float, comps: np.ndarray,
+                 roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log P(T_i = n) and the precision flag for each row n of comps, i = roots[row].
+
+    Every row must be reachable from its root: n_i >= 1, no non-root node
+    of a type with p_l = 0, and a tree shape (see _tree_shaped).
+    """
+    k = comps.copy()
+    k[np.arange(len(comps)), roots] -= 1
+    na = comps @ spec.A
+    ratio = np.divide(k, na, out=np.zeros(na.shape), where=k > 0)
+    B = ratio[:, :, None] * spec.A
+    det = np.linalg.det(np.eye(spec.m) - B)
+    if len(det) and det.min() < BREAKDOWN_FLOOR:
+        bad = int(det.argmin())
+        raise NumericalBreakdownError(
+            f"det(I - B) = {det[bad]:.3e} < {BREAKDOWN_FLOOR} at n={tuple(comps[bad].tolist())}"
+        )
+    # Hadamard: |det(I - B)| <= prod_l ||(I - B)_l,:|| <= prod_l (1 + ||B_l,:||)
+    bound = np.prod(1.0 + np.sqrt(np.einsum("cij,cij->ci", B, B)), axis=1)
+    lam = t * na * spec.p
+    log_fact = np.array([math.lgamma(j + 1.0) for j in range(int(k.max(initial=0)) + 1)])
+    log_pois = np.log(lam, out=np.zeros(lam.shape), where=k > 0) * k - lam - log_fact[k]
+    with np.errstate(divide="ignore"):
+        log_p = np.log(np.maximum(det, 0.0)) + log_pois.sum(axis=1)
+    return log_p, det < PRECISION_RATIO * bound
+
+
+def _solve_rows(spec: ModelSpec, t: float, comps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log w_n(t) and the precision flag for each row n of comps.
+
+    A row is reachable iff supp(n) lies in supp(p) and n is tree-shaped;
+    the others are exactly -inf and unflagged.  The root is the first
+    component with n_i > 0.  With assertions enabled the batch also holds
+    every other root, and each is required to give the same value.
+    """
+    pgf.require_subcritical(spec, t)
+    supp = comps > 0
+    reach = np.flatnonzero(~np.any(supp & (spec.p == 0.0), axis=1) & _tree_shaped(spec, comps))
+    if __debug__:
+        at, roots = np.nonzero(supp[reach])  # row-major: each row's first root comes first
+    else:
+        at, roots = np.arange(len(reach)), supp[reach].argmax(axis=1)
+    pairs = comps[reach[at]]
+    log_p, flags = _log_progeny(spec, t, pairs, roots)
+    log_pair = log_p + np.log(spec.p[roots] / pairs[np.arange(len(at)), roots])
+    first = np.ones(len(at), dtype=bool)
+    first[1:] = at[1:] != at[:-1]
+    log_w = np.full(len(comps), -np.inf)
+    log_w[reach] = log_pair[first]
+    out_flags = np.zeros(len(comps), dtype=bool)
+    out_flags[reach] = flags[first]
+    if __debug__:
+        mine, alt = np.exp(log_w[reach[at]]), np.exp(log_pair)
+        bad = np.abs(alt - mine) > np.maximum(1e-9 * np.maximum(alt, mine), 1e-12)
+        assert not bad.any(), (
+            f"root-choice mismatch at n={tuple(pairs[bad.argmax()].tolist())}: "
+            f"{mine[bad.argmax()]!r} vs {alt[bad.argmax()]!r} from root {roots[bad.argmax()]}"
+        )
+    return log_w, out_flags
+
+
+def _progeny_value(log_value: float, flag: bool) -> ProgenyValue:
+    return ProgenyValue(value=math.exp(log_value), log_value=float(log_value),
+                        precision_limited=bool(flag))
 
 
 def progeny_pmf_detail(spec: ModelSpec, t: float, i: int, n) -> ProgenyValue:
     """P(T_i = n) with diagnostics; see progeny_pmf."""
-    _require_subcritical(spec, t)
+    pgf.require_subcritical(spec, t)
     if not 0 <= int(i) < spec.m:
         raise SpecValidationError(f"root type {i} out of range")
-    comp = as_composition(n, spec.m)
-    if sum(comp) < 1:
-        raise SpecValidationError("need |n| >= 1")
-    table = minor_table(spec, t)
-    return _signed_poisson_sum(spec, table, t, int(i), comp)
+    comp = _one_row(spec, n)
+    k = comp[0].copy()
+    k[int(i)] -= 1
+    if k.min() < 0 or np.any((k > 0) & (spec.p == 0.0)) or not _tree_shaped(spec, comp)[0]:
+        return _progeny_value(-math.inf, False)
+    log_p, flags = _log_progeny(spec, t, comp, np.array([int(i)]))
+    return _progeny_value(log_p[0], flags[0])
 
 
 def progeny_pmf(spec: ModelSpec, t: float, i: int, n) -> float:
@@ -145,69 +244,10 @@ def progeny_pmf(spec: ModelSpec, t: float, i: int, n) -> float:
     return progeny_pmf_detail(spec, t, i, n).value
 
 
-def _signed_poisson_sum(spec: ModelSpec, table: MinorTable, t: float, i: int,
-                        comp: Composition) -> ProgenyValue:
-    lam = t * (np.asarray(comp, dtype=float) @ spec.A) * spec.p
-    # each component needs at most the three shifts n_l, n_l - 1, n_l - 2
-    logp = [[log_poisson_pmf(lam[l], comp[l] - d) for d in (0, 1, 2)] for l in range(spec.m)]
-    signs: list[float] = []
-    logmags: list[float] = []
-    for mask in range(1 << spec.m):
-        c = table.coeffs[mask]
-        if c == 0.0:
-            continue
-        logmag = math.log(abs(c))
-        for l in range(spec.m):
-            shift = (mask >> l & 1) + (1 if l == i else 0)
-            lp = logp[l][shift]
-            if lp == -math.inf:
-                logmag = -math.inf
-                break
-            logmag += lp
-        if logmag > -math.inf:
-            signs.append(math.copysign(1.0, c))
-            logmags.append(logmag)
-    if not logmags:
-        return ProgenyValue(value=0.0, log_value=-math.inf, precision_limited=False)
-    peak = max(logmags)
-    # scaled addends are in [-1, 1]; fsum makes the reduction exactly rounded
-    s = math.fsum(sg * math.exp(lm - peak) for sg, lm in zip(signs, logmags))
-    value = math.exp(peak) * s
-    if value < BREAKDOWN_FLOOR:
-        raise NumericalBreakdownError(
-            f"signed minor sum collapsed to {value:.3e} < {BREAKDOWN_FLOOR} at n={comp}"
-        )
-    flag = abs(s) < PRECISION_RATIO
-    if s <= 0.0:
-        return ProgenyValue(value=0.0, log_value=-math.inf, precision_limited=flag)
-    return ProgenyValue(value=min(value, 1.0), log_value=peak + math.log(s), precision_limited=flag)
-
-
-def _solve_core(spec: ModelSpec, t: float, n) -> tuple[ProgenyValue, int | None]:
-    _require_subcritical(spec, t)
-    comp = as_composition(n, spec.m)
-    if sum(comp) < 1:
-        raise SpecValidationError("need |n| >= 1")
-    valid = [i for i in range(spec.m) if comp[i] > 0 and spec.p[i] > 0.0]
-    if not valid:
-        # n lives entirely on components that start empty: never produced
-        return ProgenyValue(value=0.0, log_value=-math.inf, precision_limited=False), None
-    root = valid[0]
-    pv = progeny_pmf_detail(spec, t, root, comp)
-    scale = spec.p[root] / comp[root]
-    out = ProgenyValue(
-        value=scale * pv.value,
-        log_value=math.log(scale) + pv.log_value if pv.value > 0.0 else -math.inf,
-        precision_limited=pv.precision_limited,
-    )
-    if __debug__ and len(valid) > 1:
-        for j in valid[1:]:
-            other = spec.p[j] / comp[j] * progeny_pmf(spec, t, j, comp)
-            assert math.isclose(other, out.value, rel_tol=1e-9, abs_tol=1e-12), (
-                f"root-choice mismatch at n={comp}: i={root} gives {out.value!r}, "
-                f"i={j} gives {other!r}"
-            )
-    return out, root
+def solve_detail(spec: ModelSpec, t: float, n) -> ProgenyValue:
+    """w_n(t) with the precision flag attached."""
+    log_w, flags = _solve_rows(spec, t, _one_row(spec, n))
+    return _progeny_value(log_w[0], flags[0])
 
 
 def solve(spec: ModelSpec, t: float, n) -> float:
@@ -217,7 +257,7 @@ def solve(spec: ModelSpec, t: float, n) -> float:
     skipped; with assertions enabled every valid root is required to give
     the same value.
     """
-    return _solve_core(spec, t, n)[0].value
+    return solve_detail(spec, t, n).value
 
 
 def solve_log(spec: ModelSpec, t: float, n) -> float:
@@ -226,34 +266,35 @@ def solve_log(spec: ModelSpec, t: float, n) -> float:
     Stays finite far beyond the range where w_n itself underflows, which is
     what large-deviation rate evaluations need.
     """
-    return _solve_core(spec, t, n)[0].log_value
-
-
-def solve_detail(spec: ModelSpec, t: float, n) -> ProgenyValue:
-    """w_n(t) with the cancellation flag attached."""
-    return _solve_core(spec, t, n)[0]
+    return solve_detail(spec, t, n).log_value
 
 
 def solve_window(spec: ModelSpec, t: float, n_max: int) -> SizeDistribution:
-    """Evaluate w_n(t) for every composition with 1 <= |n| <= n_max."""
-    entries = {comp: solve(spec, t, comp) for comp in compositions_up_to(spec.m, n_max)}
-    return SizeDistribution(t=t, m=spec.m, entries=entries)
+    """Evaluate w_n(t) for every composition with 1 <= |n| <= n_max, in one batch."""
+    log_w, _ = _solve_rows(spec, t, _window_array(spec.m, n_max))
+    return SizeDistribution(t=t, m=spec.m, entries=WindowMasses(spec.m, n_max, np.exp(log_w)))
 
 
 def series_oracle(spec: ModelSpec, t: float, degree_cap: int,
                   max_table_bytes: int = 64 << 20) -> dict[tuple[int, Composition], float]:
-    """Progeny probabilities by brute-force power-series iteration.
+    """Progeny probabilities by power-series expansion, one total degree at a time.
 
-    Iterates the implicit transform system g_i = s_i * exp(t sum_l A_il p_l
-    (g_l - 1)) as a truncated formal power series in s; after degree_cap
-    sweeps every coefficient of total degree <= degree_cap is exact, giving
-    P(T_i = n) as the coefficient of s^n.  Deliberately independent of the
-    minor-table route so the two can check each other.
+    Expands the implicit transform system g_i = s_i * exp(t sum_l A_il p_l
+    (g_l - 1)) as a truncated formal power series in s, giving P(T_i = n)
+    as the coefficient of s^n.  Writing g_i = c_i s_i E_i with
+    c_i = exp(-t (A p)_i), E_i = exp(S_i) and S_i = t sum_l A_il p_l g_l,
+    the Euler operator sum_l s_l d/ds_l turns E_i = exp(S_i) into
+    |n| E_i[n] = sum_j |j| S_i[j] E_i[n - j].  The degree-d coefficients of
+    g need those of E below d, and the degree-d coefficients of E need S
+    up to d, so one convolution per degree (by FFT, all types at once)
+    makes every coefficient of total degree <= degree_cap exact.
+    Deliberately independent of the closed form so the two can check each
+    other.
 
     Returns a dict keyed by (root type, composition) covering all
     1 <= |n| <= degree_cap.
     """
-    _require_subcritical(spec, t)
+    pgf.require_subcritical(spec, t)
     cap = int(degree_cap)
     if cap < 1:
         raise SpecValidationError("degree_cap must be >= 1")
@@ -269,44 +310,29 @@ def series_oracle(spec: ModelSpec, t: float, degree_cap: int,
     m = spec.m
     shape = (cap + 1,) * m
     degree = np.sum(np.indices(shape), axis=0)
-    keep = degree <= cap
-    trunc = tuple(slice(0, cap + 1) for _ in range(m))
+    axes = tuple(range(1, m + 1))
+    size = (2 * cap,) * m  # index sums of the factors stay below 2 cap - 2: no wrap-around
+    table = (slice(None),) + (slice(0, cap + 1),) * m
+    rates = t * spec.A * spec.p[None, :]
+    const = np.exp(-rates.sum(axis=1))
+    shift = [(i, *(slice(1, None) if a == i else slice(None) for a in range(m))) for i in range(m)]
+    unshift = [(i, *(slice(0, cap) if a == i else slice(None) for a in range(m))) for i in range(m)]
 
-    def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        out = scipy.signal.fftconvolve(a, b)[trunc]
-        out[~keep] = 0.0
-        return out
-
-    def exp_series(s: np.ndarray) -> np.ndarray:
-        # s has no constant term, so the Taylor sum terminates at degree cap
-        out = np.zeros(shape)
-        out[(0,) * m] = 1.0
-        power = out.copy()
-        for j in range(1, cap + 1):
-            power = mul(power, s) / j
-            out += power
-        return out
-
-    const = np.exp(-t * (spec.A @ spec.p))
-    g = [np.zeros(shape) for _ in range(m)]
-    for _ in range(cap):
-        new = []
+    def transforms(E: np.ndarray) -> np.ndarray:
+        g = np.zeros((m,) + shape)
         for i in range(m):
-            s = np.zeros(shape)
-            for l in range(m):
-                coef = t * spec.A[i, l] * spec.p[l]
-                if coef != 0.0:
-                    s = s + coef * g[l]
-            e = const[i] * exp_series(s)
-            shifted = np.zeros(shape)
-            src = [slice(None)] * m
-            dst = [slice(None)] * m
-            src[i] = slice(0, cap)
-            dst[i] = slice(1, cap + 1)
-            shifted[tuple(dst)] = e[tuple(src)]
-            shifted[~keep] = 0.0
-            new.append(shifted)
-        g = new
+            g[shift[i]] = const[i] * E[unshift[i]]
+        return g
+
+    E = np.zeros((m,) + shape)
+    E[(slice(None),) + (0,) * m] = 1.0
+    for d in range(1, cap):
+        S = np.tensordot(rates, transforms(E), axes=1)  # exact through degree d
+        conv = np.fft.irfftn(np.fft.rfftn(degree * S, size, axes) * np.fft.rfftn(E, size, axes),
+                             size, axes)[table]
+        grade = degree == d
+        E[:, grade] = conv[:, grade] / d
+    g = transforms(E)
 
     out: dict[tuple[int, Composition], float] = {}
     for comp in compositions_up_to(m, cap):

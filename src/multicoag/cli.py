@@ -196,9 +196,7 @@ def cmd_localize(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     spec = _load_spec(args.spec)
-    tc = pgf.gelation_time(spec).T_c
-    if not 0.0 < args.t < tc:
-        raise CriticalityError(f"compare needs 0 < t < T_c = {tc!r}, got t={args.t!r}")
+    pgf.require_subcritical(spec, args.t)
     window = compositions_up_to(spec.m, args.nmax)
 
     exact = analytic.solve_window(spec, args.t, args.nmax)
@@ -271,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--cap", type=int, default=100_000, help="MC population cap")
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--threads", type=int, default=None,
-                   help="MC worker threads (default: COAG_THREADS or 1)")
+                   help="MC worker threads (default: COAG_THREADS, else the CPU count)")
     s.set_defaults(func=cmd_solve)
 
     l = sub.add_parser("localize", help="minimize the rate function over directions")
@@ -298,7 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--mc-sigma", type=float, default=4.0, help="allowed |z| per checked cell")
     c.add_argument("--mc-floor", type=float, default=1e-3,
                    help="only check cells with analytic probability >= this")
-    c.add_argument("--threads", type=int, default=None)
+    c.add_argument("--threads", type=int, default=None,
+                   help="MC worker threads (default: COAG_THREADS, else the CPU count)")
     c.set_defaults(func=cmd_compare)
     return parser
 

@@ -19,12 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytic, pgf
-from .errors import (
-    ConvergenceError,
-    CriticalityError,
-    HypothesisError,
-    SpecValidationError,
-)
+from .errors import ConvergenceError, HypothesisError, SpecValidationError
 from .model import ModelSpec
 
 BOUNDARY_TOL = 1e-14     # iterate this close to the boundary => boundary-minimum flag
@@ -110,9 +105,7 @@ def minimize_gamma(spec: ModelSpec, t: float, tol: float = 1e-10,
     """
     if np.any(spec.p <= 0.0):
         raise HypothesisError("localization requires p_i > 0 for every component")
-    tc = pgf.gelation_time(spec).T_c
-    if not 0.0 < t < tc:
-        raise CriticalityError(f"need 0 < t < T_c = {tc!r}, got t={t!r}")
+    pgf.require_subcritical(spec, t)
 
     if spec.m == 1:
         rho = np.array([1.0])
@@ -172,9 +165,7 @@ def empirical_rate(spec: ModelSpec, t: float, rho, n_list) -> RateSequence:
     """
     if np.any(spec.p <= 0.0):
         raise HypothesisError("rate evaluation requires p_i > 0 for every component")
-    tc = pgf.gelation_time(spec).T_c
-    if not 0.0 < t < tc:
-        raise CriticalityError(f"need 0 < t < T_c = {tc!r}, got t={t!r}")
+    pgf.require_subcritical(spec, t)
     r = as_simplex_point(rho, spec.m)
     n_list = [int(n) for n in n_list]
     if not n_list or any(n < 1 for n in n_list):

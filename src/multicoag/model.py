@@ -15,7 +15,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -232,18 +232,54 @@ def kernel(spec: ModelSpec, k: Iterable[int], l: Iterable[int]) -> float:
     return float(ka @ spec.A @ la)
 
 
+@lru_cache(maxsize=32)
+def _window_index(m: int, n_max: int) -> dict[Composition, int]:
+    return {c: row for row, c in enumerate(compositions_up_to(m, n_max))}
+
+
+class WindowMasses(Mapping):
+    """Read-only masses of every composition with 1 <= |n| <= n_max.
+
+    The values sit in one float array in compositions_up_to order, and the
+    keys and their index are shared by all windows of the same shape, so a
+    window costs 8 bytes per cell where a dict costs about 100.
+    """
+
+    def __init__(self, m: int, n_max: int, values: np.ndarray):
+        self.m, self.n_max = m, n_max
+        self._keys = compositions_up_to(m, n_max)
+        self._index = _window_index(m, n_max)
+        if values.shape != (len(self._keys),):
+            raise SpecValidationError(f"need {len(self._keys)} window values, got shape {values.shape}")
+        self._values = values
+
+    def __getitem__(self, n: Composition) -> float:
+        return float(self._values[self._index[n]])
+
+    def __iter__(self) -> Iterator[Composition]:
+        return iter(self._keys)
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+
 @dataclass
 class SizeDistribution:
     """Sparse cluster-size distribution at a fixed time.
 
-    entries maps compositions (|n| >= 1) to nonnegative masses w_n.
+    entries maps compositions (|n| >= 1) to nonnegative masses w_n: a dict,
+    or a WindowMasses when the distribution covers a whole window.
     """
 
     t: float
     m: int
-    entries: dict[Composition, float]
+    entries: Mapping[Composition, float]
 
     def __post_init__(self) -> None:
+        if isinstance(self.entries, WindowMasses):
+            if self.entries.m != self.m:
+                raise SpecValidationError(f"window has m={self.entries.m}, expected {self.m}")
+            return
         clean: dict[Composition, float] = {}
         for n, w in self.entries.items():
             comp = as_composition(n, self.m)

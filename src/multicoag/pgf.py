@@ -173,6 +173,14 @@ def gelation_time(spec: ModelSpec) -> GelationReport:
     )
 
 
+def require_subcritical(spec: ModelSpec, t: float) -> float:
+    """The critical time T_c, after checking that 0 < t < T_c (else CriticalityError)."""
+    tc = gelation_time(spec).T_c
+    if not 0.0 < t < tc:
+        raise CriticalityError(f"need 0 < t < T_c = {tc!r} (the critical time), got t={t!r}")
+    return tc
+
+
 def pde_residual(spec: ModelSpec, t: float, x, h: float) -> np.ndarray:
     """Finite-difference residual of du/dt + (grad_x u) A (u - p) at (t, x).
 
@@ -183,9 +191,7 @@ def pde_residual(spec: ModelSpec, t: float, x, h: float) -> np.ndarray:
     if h <= 0.0:
         raise SpecValidationError("h must be > 0")
     x = np.asarray(x, dtype=float)
-    tc = gelation_time(spec).T_c
-    if not 0.0 < t < tc:
-        raise CriticalityError(f"need 0 < t < T_c = {tc!r}, got t={t!r}")
+    tc = require_subcritical(spec, t)
     if t + 2.0 * h >= tc:
         raise CriticalityError("stencil reaches past T_c; shrink h or t")
 

@@ -113,3 +113,33 @@ def random_interior_simplex(rng: np.random.Generator, m: int,
     rho = rng.dirichlet(np.ones(m) * 2.0)
     rho = np.clip(rho, floor, None)
     return rho / rho.sum()
+
+
+def tree_compositions(spec: ModelSpec, n_max: int) -> list[set]:
+    """For each root type i, the compositions (|n| <= n_max) of the trees the
+    branching process can grow from one type-i node.
+
+    Brute force: a tree is its root plus a forest of trees whose roots are
+    children j with A_ij p_j > 0, iterated to a fixed point.  Independent of
+    the reachability rule in multicoag.analytic, which it checks.
+    """
+    m = spec.m
+    trees: list[set] = [set() for _ in range(m)]
+    while True:
+        grown = []
+        for i in range(m):
+            kids = [c for j in range(m) if spec.A[i, j] > 0.0 and spec.p[j] > 0.0
+                    for c in trees[j]]
+            forests = {(0,) * m}
+            stack = list(forests)
+            while stack:
+                f = stack.pop()
+                for c in kids:
+                    g = tuple(a + b for a, b in zip(f, c))
+                    if sum(g) < n_max and g not in forests:
+                        forests.add(g)
+                        stack.append(g)
+            grown.append({tuple(f[l] + (l == i) for l in range(m)) for f in forests})
+        if grown == trees:
+            return trees
+        trees = grown

@@ -8,6 +8,7 @@ import pytest
 from multicoag import (
     CriticalityError,
     ModelSpec,
+    NumericalBreakdownError,
     SpecValidationError,
     borel_oracle,
     gelation_time,
@@ -20,7 +21,47 @@ from multicoag import (
     solve_window,
     series_oracle,
 )
+from multicoag import analytic
 from multicoag.analytic import log_poisson_pmf
+
+from conftest import tree_compositions
+
+
+def minor_sum_progeny(spec: ModelSpec, t: float, i: int, n) -> tuple[float, float]:
+    """P(T_i = n) as the signed sum over the 2^m principal minors of t A diag(p).
+
+    P(T_i = n) = sum_I c_I prod_l Poi(lam_l).pmf(n_l - [l in I] - [l == i]),
+    c_I = (-t)^|I| det((A diag(p))_{I,I}) and lam_l = t (nA)_l p_l: the
+    expansion of the closed form's determinant, evaluated term by term.
+    Returns the value and the sum relative to its largest addend.
+    """
+    table = minor_table(spec, t)
+    lam = poisson_rates(spec, t, n)
+    signs, logmags = [], []
+    for mask in range(1 << spec.m):
+        c = table.coeffs[mask]
+        logmag = math.log(abs(c)) if c != 0.0 else -math.inf
+        for l in range(spec.m):
+            logmag += log_poisson_pmf(lam[l], n[l] - (mask >> l & 1) - (l == i))
+        if logmag > -math.inf:
+            signs.append(math.copysign(1.0, c))
+            logmags.append(logmag)
+    if not logmags:
+        return 0.0, 0.0
+    peak = max(logmags)
+    ratio = math.fsum(sg * math.exp(lm - peak) for sg, lm in zip(signs, logmags))
+    return math.exp(peak) * ratio, ratio
+
+
+def _spec_by_name(request, name: str) -> ModelSpec:
+    if name == "red3":  # reducible: types 0 and 1 never meet type 2
+        return ModelSpec(m=3, A=[[1.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]],
+                         p=[0.3, 0.3, 0.4])
+    if name == "m4":  # zeros in A and one empty type
+        return ModelSpec(m=4, A=[[1.0, 0.5, 0.0, 1.2], [0.5, 0.3, 0.8, 0.0],
+                                 [0.0, 0.8, 1.1, 0.6], [1.2, 0.0, 0.6, 0.0]],
+                         p=[0.4, 0.25, 0.35, 0.0])
+    return request.getfixturevalue(name)
 
 
 def test_log_poisson_pmf_examples():
@@ -181,3 +222,102 @@ def test_solve_detail_flags(m1_spec):
     assert detail.value == pytest.approx(borel_oracle(0.5, 10), rel=1e-12)
     assert math.isfinite(detail.log_value)
     assert not detail.precision_limited
+
+
+@pytest.mark.parametrize("name, n_max", [("m1_spec", 30), ("bip_spec", 14), ("m3_spec", 12),
+                                         ("red3", 12), ("m4", 7)])
+def test_solve_window_matches_minor_sum_oracle(request, name, n_max):
+    spec = _spec_by_name(request, name)
+    trees = tree_compositions(spec, n_max)
+    tc = gelation_time(spec).T_c
+    for frac in (0.3, 0.7):
+        t = frac * tc
+        dist = solve_window(spec, t, n_max)
+        for n, w in dist.entries.items():
+            roots = [i for i in range(spec.m) if n[i] > 0 and spec.p[i] > 0.0]
+            if not any(n in trees[i] for i in roots):
+                assert w == 0.0 and solve_log(spec, t, n) == -math.inf
+                assert not solve_detail(spec, t, n).precision_limited
+                continue
+            for i in roots:
+                want, ratio = minor_sum_progeny(spec, t, i, n)
+                assert abs(ratio) >= analytic.PRECISION_RATIO
+                assert w == pytest.approx(spec.p[i] / n[i] * want, rel=1e-12, abs=0.0)
+            for i in range(spec.m):  # also roots of empty types and roots outside n
+                got = progeny_pmf(spec, t, i, n)
+                if n in trees[i]:
+                    assert got == pytest.approx(minor_sum_progeny(spec, t, i, n)[0],
+                                                rel=1e-12, abs=0.0)
+                else:
+                    assert got == 0.0
+
+
+def test_solve_log_matches_50_digit_minor_sum(request):
+    mpmath = pytest.importorskip("mpmath")
+    spec = request.getfixturevalue("asym2_spec")  # the README's demo instance
+    t = 0.5 * gelation_time(spec).T_c
+    n = (1400, 600)
+    with mpmath.workdps(50):
+        A = mpmath.matrix(spec.A.tolist())
+        p = [mpmath.mpf(v) for v in spec.p]
+        tt = mpmath.mpf(t)
+        lam = [tt * sum(n[j] * A[j, l] for j in range(2)) * p[l] for l in range(2)]
+        total = mpmath.mpf(0)
+        for mask in range(4):
+            idx = [l for l in range(2) if mask >> l & 1]
+            minor = mpmath.det(mpmath.matrix([[A[a, b] * p[b] for b in idx] for a in idx])) \
+                if idx else mpmath.mpf(1)
+            term = (-tt) ** len(idx) * minor
+            for l in range(2):
+                k = n[l] - (mask >> l & 1) - (l == 0)
+                term *= mpmath.exp(k * mpmath.log(lam[l]) - lam[l] - mpmath.loggamma(k + 1))
+            total += term
+        ref = float(mpmath.log(p[0] / n[0] * total))
+    assert solve_log(spec, t, n) == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+
+def test_unreachable_compositions_are_exact_zeros(m3_spec):
+    # A_02 = 0, so types 0 and 2 alone cannot form a cluster
+    t = 0.5 * gelation_time(m3_spec).T_c
+    assert solve(m3_spec, t, (1, 0, 2)) == 0.0
+    assert solve_log(m3_spec, t, (1, 0, 2)) == -math.inf
+    assert not solve_detail(m3_spec, t, (1, 0, 2)).precision_limited
+    dist = solve_window(m3_spec, t, 20)
+    assert sum(1 for w in dist.entries.values() if w == 0.0) == 190
+
+
+def test_precision_flag_fires_wherever_the_minor_sum_cancels(m3_spec, monkeypatch):
+    # raise the threshold until the minor sum flags some cells: its largest
+    # addend never exceeds the Hadamard bound, so the closed form flags them too
+    ratio = 0.2
+    monkeypatch.setattr(analytic, "PRECISION_RATIO", ratio)
+    t = 0.6 * gelation_time(m3_spec).T_c
+    old = new = 0
+    for n in solve_window(m3_spec, t, 10).entries:
+        i = next(i for i in range(3) if n[i] > 0)
+        if solve(m3_spec, t, n) == 0.0:
+            continue
+        cancels = abs(minor_sum_progeny(m3_spec, t, i, n)[1]) < ratio
+        flagged = solve_detail(m3_spec, t, n).precision_limited
+        old += cancels
+        new += flagged
+        assert flagged or not cancels, n
+    assert 0 < old <= new
+
+
+def test_breakdown_floor_raises(m1_spec, monkeypatch):
+    # det(I - B) = 1/n at m = 1; a floor above it must raise rather than return
+    monkeypatch.setattr(analytic, "BREAKDOWN_FLOOR", 0.4)
+    assert solve(m1_spec, 0.5, (2,)) > 0.0
+    with pytest.raises(NumericalBreakdownError):
+        solve(m1_spec, 0.5, (3,))
+
+
+def test_solve_has_no_type_count_cap():
+    m = 24
+    spec = ModelSpec(m=m, A=np.ones((m, m)), p=np.full(m, 1.0 / m))
+    # with A all ones every cluster merges like m = 1: sum over |n| = 3 is Borel
+    n = [0] * m
+    n[0], n[5] = 2, 1
+    w = solve(spec, 0.5, n)
+    assert w == pytest.approx(borel_oracle(0.5, 3) * 3 / m ** 3, rel=1e-12)

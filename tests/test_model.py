@@ -20,6 +20,7 @@ from multicoag import (
     validate,
     write_distribution_csv,
 )
+from multicoag.model import WindowMasses
 
 
 def test_validate_minimal_instances(m1_spec, bip_spec):
@@ -138,3 +139,24 @@ def test_spec_json_roundtrip_and_hash(m3_spec, tmp_path):
     assert ModelSpec.from_json_dict(json.loads(path.read_text())).m == 3
     other = ModelSpec(m=3, A=m3_spec.A * 2.0, p=m3_spec.p)
     assert other.spec_hash() != m3_spec.spec_hash()
+
+
+def test_window_masses_is_a_read_only_mapping():
+    comps = compositions_up_to(2, 3)
+    values = np.arange(1.0, len(comps) + 1.0)
+    window = WindowMasses(2, 3, values)
+    as_dict = dict(zip(comps, values.tolist()))
+    assert list(window) == list(comps) and len(window) == len(comps)
+    assert window == as_dict and dict(window.items()) == as_dict
+    assert window[(1, 1)] == as_dict[(1, 1)] and isinstance(window[(1, 1)], float)
+    assert window.get((4, 0), 0.0) == 0.0 and (4, 0) not in window
+    with pytest.raises(TypeError):
+        window[(1, 0)] = 2.0
+    with pytest.raises(SpecValidationError):
+        WindowMasses(2, 3, values[:-1])
+    dist = SizeDistribution(t=0.1, m=2, entries=window)
+    assert dist.entries is window
+    assert dist.prune(floor=5.0).entries == {c: w for c, w in as_dict.items() if w >= 5.0}
+    assert mass_vector(dist) == pytest.approx(sum(np.asarray(c) * w for c, w in as_dict.items()))
+    with pytest.raises(SpecValidationError):
+        SizeDistribution(t=0.1, m=3, entries=window)

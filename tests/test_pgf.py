@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from multicoag import (
+    CriticalityError,
     ModelSpec,
     SpecValidationError,
     gelation_time,
@@ -15,6 +16,7 @@ from multicoag import (
     solve_fixed_point,
     spectral_value,
 )
+from multicoag.pgf import require_subcritical
 
 
 def test_offspring_pgf_examples(m1_spec, bip_spec):
@@ -127,3 +129,10 @@ def test_generating_function_initial_condition(m1_spec, bip_spec):
         res = solve_fixed_point(spec, 1e-12, x)
         u = spec.p * res.g
         assert np.allclose(u, spec.p * np.exp(-x), atol=1e-10)
+
+
+def test_require_subcritical_is_the_one_guard(bip_spec):
+    assert require_subcritical(bip_spec, 1.0) == pytest.approx(2.0, abs=1e-12)
+    for t in (0.0, -0.1, 2.0, 2.5, math.inf, math.nan):
+        with pytest.raises(CriticalityError, match="critical time"):
+            require_subcritical(bip_spec, t)
