@@ -6,10 +6,19 @@ generations are drawn at once: the children of Z_g are Poisson with mean
 t * (Z_g A) * p summed over parents.  Replicates are processed in fixed
 blocks of 4096 with one RNG stream per block derived from (seed, block), so
 results do not depend on how blocks are distributed over worker threads.
+
+Only live replicates draw: a generation calls the Poisson sampler on the
+rows that are neither extinct nor censored, in block order.  numpy's
+Poisson(0) consumes no random draws, so this yields exactly the stream of
+drawing every row with the dead ones at rate 0.  A fixed-seed digest test
+(tests/test_branching_mc.py) pins the streams, and so catches a numpy
+release that changes its Poisson sampler.  The pmf is tabulated with one
+lexicographic sort of the kept rows.
 """
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -58,6 +67,11 @@ class McPmfEstimate:
         return self.pmf.get(tuple(n), (0.0, 0.0))
 
 
+def _require_time(t: float) -> None:
+    if not (math.isfinite(t) and t >= 0.0):
+        raise SpecValidationError(f"t must be finite and >= 0, got {t!r}")
+
+
 def _resolve_root(spec: ModelSpec, root: int | str | None, config: McConfig) -> int | str:
     r = config.root if root is None else root
     if r == RANDOM_ROOT:
@@ -68,43 +82,43 @@ def _resolve_root(spec: ModelSpec, root: int | str | None, config: McConfig) -> 
     return r
 
 
-def _simulate_block(spec: ModelSpec, t: float, root: int | str, size: int,
-                    cap: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """One block of replicates; returns (counts, censored) arrays."""
-    m = spec.m
+def _simulate_block(spec: ModelSpec, t: float, root: int | str, cap: int,
+                    rng: np.random.Generator, counts: np.ndarray, censored: np.ndarray) -> None:
+    """Fill one block of replicates into zeroed counts (size x m) and censored (size).
+
+    `live` holds the indices of the rows still growing, in block order, and
+    `z` their current generation.  A row leaves when it has no children or
+    its total passes the cap (censored).
+    """
+    size, m = counts.shape
     rate = t * spec.A * spec.p[None, :]  # children means per parent: rate[k, l]
     if root == RANDOM_ROOT:
         roots = rng.choice(m, size=size, p=spec.p)
     else:
         roots = np.full(size, int(root))
-    z = np.zeros((size, m), dtype=np.int64)
-    z[np.arange(size), roots] = 1
-    counts = z.copy()
-    total = np.ones(size, dtype=np.int64)
-    alive = np.ones(size, dtype=bool)
-    censored = np.zeros(size, dtype=bool)
-    while alive.any():
-        lam = z @ rate
-        lam[~alive] = 0.0
-        children = rng.poisson(lam)
+    counts[np.arange(size), roots] = 1
+    live = np.arange(size)
+    z = counts.copy()
+    total = np.ones(size, dtype=np.int64)  # progeny so far of each live row
+    while live.size:
+        children = rng.poisson(z @ rate)
         born = children.sum(axis=1)
-        counts += children
+        counts[live] += children
         total += born
-        newly = alive & (total > cap)
-        censored |= newly
-        alive &= (born > 0) & ~newly
-        z = children
-    return counts, censored
+        over = total > cap
+        censored[live[over]] = True
+        keep = (born > 0) & ~over
+        live, z, total = live[keep], children[keep], total[keep]
 
 
 def sample_progeny(spec: ModelSpec, t: float, root: int | str | None = None,
                    config: McConfig = McConfig(replicates=1)) -> ProgenySample:
     """Draw one replicate (uses config.seed directly)."""
-    if t < 0.0:
-        raise SpecValidationError("t must be >= 0")
+    _require_time(t)
     r = _resolve_root(spec, root, config)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=[config.seed, 0]))
-    counts, censored = _simulate_block(spec, t, r, 1, config.population_cap, rng)
+    counts, censored = np.zeros((1, spec.m), dtype=np.int64), np.zeros(1, dtype=bool)
+    _simulate_block(spec, t, r, config.population_cap, rng, counts, censored)
     return ProgenySample(counts=tuple(int(v) for v in counts[0]), censored=bool(censored[0]))
 
 
@@ -114,26 +128,39 @@ def sample_progeny_batch(spec: ModelSpec, t: float, root: int | str | None,
 
     Block b always uses the stream seeded by (seed, b), so the result is a
     pure function of (spec, t, root, config) whatever the thread count.
+    Blocks write straight into their rows of the result.
     """
-    if t < 0.0:
-        raise SpecValidationError("t must be >= 0")
+    _require_time(t)
     r = _resolve_root(spec, root, config)
     n = config.replicates
-    sizes = [(b, min(BLOCK_SIZE, n - b * BLOCK_SIZE)) for b in range((n + BLOCK_SIZE - 1) // BLOCK_SIZE)]
+    counts = np.zeros((n, spec.m), dtype=np.int64)
+    censored = np.zeros(n, dtype=bool)
 
-    def run(block_and_size: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-        b, size = block_and_size
+    def run(b: int) -> None:
         rng = np.random.default_rng(np.random.SeedSequence(entropy=[config.seed, b]))
-        return _simulate_block(spec, t, r, size, config.population_cap, rng)
+        rows = slice(b * BLOCK_SIZE, (b + 1) * BLOCK_SIZE)
+        _simulate_block(spec, t, r, config.population_cap, rng, counts[rows], censored[rows])
 
-    if threads > 1 and len(sizes) > 1:
+    blocks = range((n + BLOCK_SIZE - 1) // BLOCK_SIZE)
+    if threads > 1 and len(blocks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(run, sizes))
+            list(pool.map(run, blocks))
     else:
-        parts = [run(bs) for bs in sizes]
-    counts = np.concatenate([p[0] for p in parts], axis=0)
-    censored = np.concatenate([p[1] for p in parts], axis=0)
+        for b in blocks:
+            run(b)
     return counts, censored
+
+
+def _tabulate(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows in lexicographic order with their multiplicities.
+
+    One lexsort (first column primary) and a scan for run boundaries.
+    """
+    if len(rows) == 0:
+        return rows, np.zeros(0, dtype=np.int64)
+    rows = rows[np.lexsort(rows.T[::-1])]
+    starts = np.flatnonzero(np.r_[True, np.any(rows[1:] != rows[:-1], axis=1)])
+    return rows[starts], np.diff(np.r_[starts, len(rows)])
 
 
 def estimate_pmf(spec: ModelSpec, t: float, root: int | str | None, config: McConfig,
@@ -147,17 +174,14 @@ def estimate_pmf(spec: ModelSpec, t: float, root: int | str | None, config: McCo
     if n_max < 1:
         raise SpecValidationError("n_max must be >= 1")
     counts, censored = sample_progeny_batch(spec, t, root, config, threads=threads)
-    keep = ~censored
-    n_unc = int(keep.sum())
-    pmf: dict[Composition, tuple[float, float]] = {}
-    if n_unc > 0:
-        kept = counts[keep]
-        kept = kept[kept.sum(axis=1) <= n_max]
-        uniq, freq = np.unique(kept, axis=0, return_counts=True)
-        for row, c in zip(uniq, freq):
-            est = c / n_unc
-            se = float(np.sqrt(est * (1.0 - est) / n_unc))
-            pmf[tuple(int(v) for v in row)] = (float(est), se)
+    n_unc = int(np.count_nonzero(~censored))
+    rows, freq = _tabulate(counts[~censored & (counts.sum(axis=1) <= n_max)])
+    denom = max(n_unc, 1)  # with every replicate censored there are no rows to divide
+    est = freq / denom
+    se = np.sqrt(est * (1.0 - est) / denom)
+    pmf: dict[Composition, tuple[float, float]] = {
+        tuple(row): (e, s) for row, e, s in zip(rows.tolist(), est.tolist(), se.tolist())
+    }
     return McPmfEstimate(
         pmf=pmf,
         censoring_rate=float(censored.mean()),

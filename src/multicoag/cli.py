@@ -72,7 +72,10 @@ def _threads(args: argparse.Namespace) -> int:
         return max(1, args.threads)
     env = os.environ.get("COAG_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise CoagulationError(f"COAG_THREADS must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
 
 

@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 import warnings
+from collections.abc import ItemsView, ValuesView
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping
@@ -237,6 +238,24 @@ def _window_index(m: int, n_max: int) -> dict[Composition, int]:
     return {c: row for row, c in enumerate(compositions_up_to(m, n_max))}
 
 
+@lru_cache(maxsize=32)
+def _window_array(m: int, n_max: int) -> np.ndarray:
+    """compositions_up_to(m, n_max) as a read-only (cells, m) int array."""
+    out = np.array(compositions_up_to(m, n_max), dtype=np.int64)
+    out.flags.writeable = False
+    return out
+
+
+class _ArrayValues(ValuesView):
+    def __iter__(self) -> Iterator[float]:
+        return iter(self._mapping._values.tolist())
+
+
+class _ArrayItems(ItemsView):
+    def __iter__(self) -> Iterator[tuple[Composition, float]]:
+        return zip(self._mapping._keys, self._mapping._values.tolist())
+
+
 class WindowMasses(Mapping):
     """Read-only masses of every composition with 1 <= |n| <= n_max.
 
@@ -261,6 +280,13 @@ class WindowMasses(Mapping):
 
     def __len__(self) -> int:
         return len(self._keys)
+
+    # views that read the array in one pass instead of one lookup per key
+    def values(self) -> ValuesView:
+        return _ArrayValues(self)
+
+    def items(self) -> ItemsView:
+        return _ArrayItems(self)
 
 
 @dataclass
@@ -353,11 +379,13 @@ def write_distribution_csv(path: str, m: int, rows: Iterable[tuple[Composition, 
 
 
 def mass_vector(dist: SizeDistribution) -> np.ndarray:
-    """Per-component mass sum_n n * w_n."""
-    out = np.zeros(dist.m)
-    for n, w in dist.entries.items():
-        out += np.asarray(n, dtype=float) * w
-    return out
+    """Per-component mass sum_n n * w_n, summed one entry after another in entry order."""
+    entries = dist.entries
+    if not entries:
+        return np.zeros(dist.m)
+    comps = np.array(list(entries), dtype=np.int64).reshape(len(entries), dist.m)
+    w = np.fromiter(entries.values(), dtype=float, count=len(entries))
+    return np.cumsum(comps * w[:, None], axis=0)[-1]  # cumsum adds sequentially, unlike sum
 
 
 def borel_oracle(t: float, n: int) -> float:

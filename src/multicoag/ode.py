@@ -62,8 +62,8 @@ class OdeConfig:
     record_times: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.dt <= 0.0:
-            raise SpecValidationError("dt must be > 0")
+        if not (math.isfinite(self.dt) and self.dt > 0.0):
+            raise SpecValidationError(f"dt must be finite and > 0, got {self.dt!r}")
         if self.method not in METHODS:
             raise SpecValidationError(f"method must be one of {METHODS}")
         if self.form not in FORMS:
@@ -286,10 +286,10 @@ def integrate(spec: ModelSpec, window: TruncationWindow, config: OdeConfig,
     than config.dt.  Returns one snapshot per record time (default: just
     t_end).
     """
-    if t_end <= 0.0:
-        raise SpecValidationError("t_end must be > 0")
+    if not (math.isfinite(t_end) and t_end > 0.0):
+        raise SpecValidationError(f"t_end must be finite and > 0, got {t_end!r}")
     records = list(config.record_times) if config.record_times is not None else [t_end]
-    if any(r < 0.0 or r > t_end for r in records) or sorted(records) != records:
+    if not all(0.0 <= r <= t_end for r in records) or sorted(records) != records:
         raise SpecValidationError("record_times must be sorted within [0, t_end]")
 
     op = _operator(spec, window.n_max, config.form)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import time
 
 import numpy as np
@@ -11,8 +12,10 @@ from multicoag import (
     McConfig,
     ModelSpec,
     OdeConfig,
+    SpecValidationError,
     TruncationWindow,
     estimate_pmf,
+    gelation_time,
     integrate,
 )
 
@@ -113,6 +116,25 @@ def random_interior_simplex(rng: np.random.Generator, m: int,
     rho = rng.dirichlet(np.ones(m) * 2.0)
     rho = np.clip(rho, floor, None)
     return rho / rho.sum()
+
+
+def random_subcritical_instance(rng: np.random.Generator) -> tuple[ModelSpec, float]:
+    """A random m <= 3 instance with zeros in A, and its finite critical time."""
+    while True:
+        m = int(rng.integers(1, 4))
+        A = rng.uniform(0.0, 2.0, size=(m, m))
+        A[rng.uniform(size=(m, m)) < 0.3] = 0.0
+        p = rng.uniform(0.2, 1.0, size=m)
+        p /= p.sum()
+        if not (A + A.T > 0).any():
+            continue
+        try:
+            spec = ModelSpec(m=m, A=A, p=p)
+            tc = gelation_time(spec).T_c
+        except SpecValidationError:
+            continue
+        if math.isfinite(tc):
+            return spec, tc
 
 
 def tree_compositions(spec: ModelSpec, n_max: int) -> list[set]:

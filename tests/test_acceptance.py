@@ -17,8 +17,6 @@ import numpy as np
 
 from multicoag import (
     McConfig,
-    ModelSpec,
-    SpecValidationError,
     borel_oracle,
     compositions_up_to,
     empirical_rate,
@@ -35,7 +33,12 @@ from multicoag import (
     solve_fixed_point,
     solve_window,
 )
-from conftest import ACCEPTANCE_LINES, BUILD_TIMES, random_interior_simplex
+from conftest import (
+    ACCEPTANCE_LINES,
+    BUILD_TIMES,
+    random_interior_simplex,
+    random_subcritical_instance,
+)
 
 CRITERION_10_TIMES: dict[str, float] = {}
 
@@ -144,31 +147,13 @@ def test_criterion_06_root_index_independence(m3_spec):
     assert ok, line
 
 
-def _random_subcritical_instance(rng):
-    while True:
-        m = int(rng.integers(1, 4))
-        A = rng.uniform(0.0, 2.0, size=(m, m))
-        A[rng.uniform(size=(m, m)) < 0.3] = 0.0
-        p = rng.uniform(0.2, 1.0, size=m)
-        p /= p.sum()
-        if not (A + A.T > 0).any():
-            continue
-        try:
-            spec = ModelSpec(m=m, A=A, p=p)
-            tc = gelation_time(spec).T_c
-        except SpecValidationError:
-            continue
-        if math.isfinite(tc):
-            return spec, tc
-
-
 def test_criterion_07_oracle_equivalence():
     t0 = time.perf_counter()
     rng = np.random.default_rng(7)
     worst = 0.0
     counts = {1: 0, 2: 0, 3: 0}
     for _ in range(20):
-        spec, tc = _random_subcritical_instance(rng)
+        spec, tc = random_subcritical_instance(rng)
         counts[spec.m] += 1
         t = 0.5 * tc
         for (i, n), ref in series_oracle(spec, t, 12).items():

@@ -11,6 +11,7 @@ from multicoag import (
     NumericalBreakdownError,
     SpecValidationError,
     borel_oracle,
+    compositions_up_to,
     gelation_time,
     minor_table,
     poisson_rates,
@@ -24,7 +25,7 @@ from multicoag import (
 from multicoag import analytic
 from multicoag.analytic import log_poisson_pmf
 
-from conftest import tree_compositions
+from conftest import random_subcritical_instance, tree_compositions
 
 
 def minor_sum_progeny(spec: ModelSpec, t: float, i: int, n) -> tuple[float, float]:
@@ -204,6 +205,48 @@ def test_series_oracle_matches_formula_bipartite(bip_spec):
 def test_series_oracle_memory_budget(m3_spec):
     with pytest.raises(SpecValidationError):
         series_oracle(m3_spec, 0.3, 12, max_table_bytes=1024)
+
+
+def _oracle_calls():
+    """The (spec, t, degree_cap) triples the test suite and bench/ hand to series_oracle,
+    plus an m=1 sweep over (0, T_c) and lopsided instances where rescaling would amplify noise."""
+    m1 = ModelSpec(m=1, A=[[1.0]], p=[1.0])
+    for cap in (5, 20, 60):
+        yield m1, 0.5, cap
+    for t in np.linspace(0.05, 0.99, 12):  # the whole subcritical range at the largest cap
+        yield m1, float(t), 60
+    yield ModelSpec(m=2, A=[[0.0, 1.0], [1.0, 0.0]], p=[0.5, 0.5]), 1.0, 12
+    for p1 in (0.01, 0.3):  # lopsided bipartite: rescaling from 0.9 T_c gains up to ~1e29
+        lopsided = ModelSpec(m=2, A=[[0.0, 1.0], [1.0, 0.0]], p=[p1, 1.0 - p1])
+        for frac in (0.2, 0.5):
+            yield lopsided, frac * gelation_time(lopsided).T_c, 12
+    rng = np.random.default_rng(7)  # criterion 07's instances
+    for _ in range(20):
+        spec, tc = random_subcritical_instance(rng)
+        yield spec, 0.5 * tc, 12
+    windows = [(ModelSpec(m=2, A=[[1.0, 2.0], [2.0, 1.0]], p=[0.7, 0.3]), 10),
+               (ModelSpec(m=3, A=[[1.0, 2.0, 0.0], [2.0, 1.0, 1.0], [0.0, 1.0, 1.0]],
+                          p=[0.3, 0.3, 0.4]), 10)]
+    for seed in (1, 2, 3):  # the benchmark's seeded m=4 kernels
+        draw = np.random.default_rng([seed, 4])
+        b = draw.uniform(0.2, 1.5, size=(4, 4))
+        windows.append((ModelSpec(m=4, A=(b + b.T) / 2.0, p=draw.dirichlet(np.full(4, 3.0))), 6))
+    for spec, cap in windows:
+        tc = gelation_time(spec).T_c
+        for frac in np.linspace(0.2, 0.9, 8):
+            yield spec, float(frac) * tc, cap
+
+
+def test_series_oracle_rescaling_matches_direct_expansion():
+    # series_oracle expands once per (spec, cap) and rescales to t; the
+    # rescaled table must equal an expansion at t itself
+    for spec, t, cap in _oracle_calls():
+        direct = analytic._expand(spec, t, cap)
+        coeffs = series_oracle(spec, t, cap)
+        keys = [(i, n) for n in compositions_up_to(spec.m, cap) for i in range(spec.m)]
+        assert list(coeffs) == keys
+        gap = max(abs(v - direct[i][n]) for (i, n), v in coeffs.items())
+        assert gap <= 1e-15, (spec, t, cap, gap)
 
 
 def test_root_index_independence_debug_assert(m3_spec):

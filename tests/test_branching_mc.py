@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -10,12 +11,15 @@ from multicoag import (
     McConfig,
     SpecValidationError,
     estimate_pmf,
+    gelation_time,
     progeny_pmf,
     sample_progeny,
     sample_progeny_batch,
     solve,
     solve_fixed_point,
 )
+from multicoag import branching_mc
+from multicoag.branching_mc import BLOCK_SIZE
 
 
 def test_seed_determinism(bip_spec):
@@ -126,3 +130,115 @@ def test_mixture_identity_random_roots(bip_spec):
         freq, _ = est.estimate(n)
         se = math.sqrt(prob * (1 - prob) / est.n_uncensored)
         assert abs(freq - prob) <= 4.0 * se
+
+
+# sha256 of counts.tobytes() + censored.tobytes() from sample_progeny_batch
+# with 2 * BLOCK_SIZE + 100 replicates at seed 7, keyed by (instance, t / T_c,
+# root, population cap).  Recorded from the all-rows sampler that drew every
+# row each generation; the live-row sampler must reproduce it bit for bit.
+# numpy 2.x's Poisson sampler defines these streams: if a numpy release
+# changes it, this test fails first.
+STREAM_DIGESTS = {
+    ("demo", 0.5, "random", 100000):
+        "2c8e49be7e2b11ca7aa5520afac766c24c655733129f1b7a2d73e930bde3c07f",
+    ("demo", 0.5, "random", 1000):
+        "2c8e49be7e2b11ca7aa5520afac766c24c655733129f1b7a2d73e930bde3c07f",
+    ("demo", 0.5, 1, 100000):
+        "665edb43b6ecdc562262236b9722f6d54930995ca04fdc97cc5ba7e9d2ae7e61",
+    ("demo", 0.5, 1, 1000):
+        "665edb43b6ecdc562262236b9722f6d54930995ca04fdc97cc5ba7e9d2ae7e61",
+    ("demo", 0.95, "random", 100000):
+        "d14f9ab0ef6715993e5e396eea93d3905f856986db4ffd783a071d75bbda2dc0",
+    ("demo", 0.95, "random", 1000):
+        "2d0460dadabe4b1f715f0acceba9e50564ad64891237a2f55a1876d0c228f0cf",
+    ("demo", 0.95, 1, 100000):
+        "6420080f1aff986a4ff93e412b28f4e7877a8ce1b866ac7abd7a0b82f9c29444",
+    ("demo", 0.95, 1, 1000):
+        "56ebcd43d341ac44c8a8877a7b218e13ae42f619155a91dc050159c32b39a116",
+    ("demo", 1.1, "random", 100000):
+        "9a359a093f2a47f89d10aea7b0e7df92bb8153d2bd5321ba36bbcf404cbd76fd",
+    ("demo", 1.1, "random", 1000):
+        "fec1fa1269ece97a489d6d21d8c0c0124806a9d10596e55f629c452544a4e3fe",
+    ("demo", 1.1, 1, 100000):
+        "055f8c45869e71d3a1b3d30388185d2e1579b3502e220b7fb80b3f315634fd30",
+    ("demo", 1.1, 1, 1000):
+        "7252005280570cfa6f92a39793b2c22a7e43ea6fc96b73618b29bc0bf50aeb16",
+    ("m3", 0.5, "random", 100000):
+        "e1ac8254483229f9d72b1b85fba3cdce5557dcc3995ab990aff14b31e4beb332",
+    ("m3", 0.5, "random", 1000):
+        "e1ac8254483229f9d72b1b85fba3cdce5557dcc3995ab990aff14b31e4beb332",
+    ("m3", 0.5, 1, 100000):
+        "04669438dd281fc7a01cf7c6faf35cbf5dd28286c470e82d3cd9d5e070e78591",
+    ("m3", 0.5, 1, 1000):
+        "04669438dd281fc7a01cf7c6faf35cbf5dd28286c470e82d3cd9d5e070e78591",
+    ("m3", 0.95, "random", 100000):
+        "e995cd795ec82db09380d8df871981ca5899ed85cb583231e00c7a5a0c2760b4",
+    ("m3", 0.95, "random", 1000):
+        "e1488417c3fe73dafeb88c8cc0dace8349a260a5ad7e017492e7244f6273ce17",
+    ("m3", 0.95, 1, 100000):
+        "e03ac682a919b8684af27dcb124ae7ccbee17d5d1082151b731e645c1ec60032",
+    ("m3", 0.95, 1, 1000):
+        "cacb3b7a3ace562d469be83bf843d61cf18d71c730cb25ac81c183cd3875e9a0",
+    ("m3", 1.1, "random", 100000):
+        "42352d3d39ae1f405a117a472ff8f0da9e49661f9b32998ea46b4ac0bc75bcde",
+    ("m3", 1.1, "random", 1000):
+        "bc13ddb4fda5e47416299755cf83d4407a54bde529d22a0c78d2cfcdeb1bda2a",
+    ("m3", 1.1, 1, 100000):
+        "006bb05fc8180e3d5ea10bd5e7964dd673a0bfc67b371579ab384d8815d1c238",
+    ("m3", 1.1, 1, 1000):
+        "b920b1148ddbb424dfa4f495b32e043084f76a3c084be51c6ab2dd1513db4c82",
+}
+
+
+@pytest.mark.parametrize("key", sorted(STREAM_DIGESTS, key=str), ids=str)
+def test_stream_digest_pinned(key, request):
+    label, frac, root, cap = key
+    spec = request.getfixturevalue({"demo": "asym2_spec", "m3": "m3_spec"}[label])
+    t = frac * gelation_time(spec).T_c
+    cfg = McConfig(replicates=2 * BLOCK_SIZE + 100, population_cap=cap, seed=7)
+    for threads in (1, 2):
+        counts, censored = sample_progeny_batch(spec, t, root, cfg, threads=threads)
+        digest = hashlib.sha256(counts.tobytes() + censored.tobytes()).hexdigest()
+        assert digest == STREAM_DIGESTS[key], f"threads={threads}"
+
+
+def unique_rows_pmf(counts: np.ndarray, censored: np.ndarray,
+                    n_max: int) -> dict[tuple[int, ...], tuple[float, float]]:
+    """The pmf tabulated through np.unique(axis=0), as estimate_pmf once did."""
+    keep = ~censored
+    n_unc = int(keep.sum())
+    pmf = {}
+    if n_unc > 0:
+        kept = counts[keep]
+        kept = kept[kept.sum(axis=1) <= n_max]
+        uniq, freq = np.unique(kept, axis=0, return_counts=True)
+        for row, c in zip(uniq, freq):
+            est = c / n_unc
+            se = float(np.sqrt(est * (1.0 - est) / n_unc))
+            pmf[tuple(int(v) for v in row)] = (float(est), se)
+    return pmf
+
+
+def _count_arrays():
+    rng = np.random.default_rng(5)
+    yield "m1 n_max=200", rng.geometric(0.02, size=(5_000, 1)) - 1, rng.random(5_000) < 0.1, 200
+    for m in (2, 3, 5):
+        counts = rng.poisson(1.5, size=(3_000, m))
+        yield f"m{m}", counts, rng.random(3_000) < 0.2, 6
+    yield "one replicate", np.array([[2, 1]]), np.array([False]), 5
+    yield "all censored", rng.poisson(2.0, size=(50, 2)), np.ones(50, dtype=bool), 5
+    yield "none within n_max", rng.poisson(2.0, size=(50, 2)) + 4, np.zeros(50, dtype=bool), 5
+
+
+@pytest.mark.parametrize("case", list(_count_arrays()), ids=lambda c: c[0])
+def test_estimate_pmf_matches_unique_rows_oracle(case, monkeypatch, m1_spec):
+    _, counts, censored, n_max = case
+    counts = counts.astype(np.int64)
+    monkeypatch.setattr(branching_mc, "sample_progeny_batch",
+                        lambda *args, **kwargs: (counts, censored))
+    est = estimate_pmf(m1_spec, 0.5, 0, McConfig(replicates=len(counts)), n_max=n_max)
+    want = unique_rows_pmf(counts, censored, n_max)
+    assert list(est.pmf.items()) == list(want.items())
+    assert all(type(v) is int for n in est.pmf for v in n)
+    assert est.n_uncensored == int((~censored).sum())
+    assert est.censoring_rate == float(censored.mean())

@@ -203,6 +203,40 @@ def test_threads_env_fallback(spec_files, tmp_path, monkeypatch):
     assert out.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize("method", ["mc", "ode"])
+@pytest.mark.parametrize("t", ["nan", "inf"])
+def test_solve_nonfinite_t_exit_2(spec_files, tmp_path, capsys, method, t):
+    out = tmp_path / "w.csv"
+    assert main(["solve", spec_files["m1"], "--t", t, "--nmax", "5", "--method", method,
+                 "--replicates", "100", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "finite" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("dt", ["nan", "inf"])
+def test_nonfinite_dt_exit_2(spec_files, tmp_path, capsys, dt):
+    out = tmp_path / "w.csv"
+    assert main(["solve", spec_files["m1"], "--t", "0.5", "--nmax", "5", "--method", "ode",
+                 "--dt", dt, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert main(["compare", spec_files["m1"], "--t", "0.5", "--nmax", "5", "--dt", dt]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 2 and all("dt must be finite" in line for line in err)
+
+
+def test_threads_env_not_an_integer_exit_2(spec_files, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("COAG_THREADS", "abc")
+    out = tmp_path / "w.csv"
+    assert main(["solve", spec_files["m1"], "--t", "0.4", "--nmax", "5",
+                 "--method", "mc", "--replicates", "100", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "COAG_THREADS" in err
+    assert not out.exists()
+
+
 @pytest.mark.skipif(shutil.which("multicoag") is None,
                     reason="no multicoag console script on PATH; install the package with pip install -e .")
 def test_console_script_installed(spec_files):

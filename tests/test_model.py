@@ -16,6 +16,7 @@ from multicoag import (
     compositions_up_to,
     kernel,
     mass_vector,
+    solve_window,
     sorted_items,
     validate,
     write_distribution_csv,
@@ -160,3 +161,16 @@ def test_window_masses_is_a_read_only_mapping():
     assert mass_vector(dist) == pytest.approx(sum(np.asarray(c) * w for c, w in as_dict.items()))
     with pytest.raises(SpecValidationError):
         SizeDistribution(t=0.1, m=3, entries=window)
+    assert list(window.values()) == [window[c] for c in comps]
+    assert list(window.items()) == [(c, window[c]) for c in comps]
+    assert ((1, 1), as_dict[(1, 1)]) in window.items() and 6.0 in window.values()
+
+
+def test_mass_vector_sums_in_entry_order(m3_spec):
+    # one addition after another, as CLI summaries have always printed it
+    window = solve_window(m3_spec, 0.4, 20)
+    for dist in (window, SizeDistribution(t=0.4, m=3, entries=dict(window.entries))):
+        out = np.zeros(3)
+        for n, w in dist.entries.items():
+            out += np.asarray(n, dtype=float) * w
+        assert np.array_equal(mass_vector(dist), out)
