@@ -46,10 +46,7 @@ from .pgf import (
     spectral_value,
 )
 from .analytic import (
-    MinorTable,
     ProgenyValue,
-    minor_table,
-    poisson_rates,
     progeny_pmf,
     progeny_pmf_detail,
     series_oracle,
@@ -115,10 +112,7 @@ __all__ = [
     "pde_residual",
     "solve_fixed_point",
     "spectral_value",
-    "MinorTable",
     "ProgenyValue",
-    "minor_table",
-    "poisson_rates",
     "progeny_pmf",
     "progeny_pmf_detail",
     "series_oracle",

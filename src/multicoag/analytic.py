@@ -15,8 +15,7 @@ The determinant does not depend on t.  A window of compositions is one
 (cells, m) array, its determinants are one (cells, m, m) stack, and the
 cost is O(m^3) per cell with no limit on m.  Compositions that no tree of
 the process can produce are exact zeros, decided combinatorially rather
-than by rounding.  The 2^m principal minors of A diag(p) stay available
-through minor_table, but no solve goes through them.
+than by rounding.
 """
 
 from __future__ import annotations
@@ -38,81 +37,12 @@ from .model import (
 )
 from . import pgf
 
-MAX_MINOR_M = 20                 # 2^m coefficient table: refuse beyond this
 BREAKDOWN_FLOOR = -1e-10         # det(I - B) below this on a reachable cell signals breakdown
 PRECISION_RATIO = 1e-12          # det(I - B) / its Hadamard bound below this flags precision loss
 SERIES_CAP_MULTI = 30            # dense-table degree limit for m >= 2
 SERIES_CAP_SINGLE = 1000         # one-dimensional tables stay cheap far beyond 30
 ORACLE_REF_FRACTION = 0.9        # series_oracle expands at this share of T_c, then rescales
 ORACLE_MAX_GAIN = 2.0            # ... unless that would scale some |n| >= 2 coefficient up by more
-
-
-def log_poisson_pmf(lam: float, k: int) -> float:
-    """log P(Z = k) for Z ~ Poisson(lam); -inf outside the support.
-
-    lam = 0 is the point mass at zero.
-    """
-    if not np.isfinite(lam) or lam < 0.0:
-        raise SpecValidationError(f"Poisson rate must be finite and >= 0, got {lam!r}")
-    k = int(k)
-    if k < 0:
-        return -math.inf
-    if lam == 0.0:
-        return 0.0 if k == 0 else -math.inf
-    return k * math.log(lam) - lam - math.lgamma(k + 1)
-
-
-def poisson_rates(spec: ModelSpec, t: float, n) -> np.ndarray:
-    """Rates lam_l = t * sum_k n_k A_kl p_l of the factorized Poisson counts."""
-    comp = np.asarray(as_composition(n, spec.m), dtype=float)
-    return t * (comp @ spec.A) * spec.p
-
-
-@dataclass(frozen=True)
-class MinorTable:
-    """All 2^m signed principal-minor coefficients of I - t A diag(p).
-
-    coeffs[mask] = (-t)^popcount(mask) * det((A diag(p))_{I,I}) with I the
-    set bits of mask, so that det(I - t diag(r) A diag(p)) = sum_I c_I r^I.
-    """
-
-    m: int
-    t: float
-    coeffs: np.ndarray
-
-    def coefficient(self, subset) -> float:
-        mask = 0
-        for i in subset:
-            if not 0 <= int(i) < self.m:
-                raise SpecValidationError(f"subset index {i} out of range")
-            mask |= 1 << int(i)
-        return float(self.coeffs[mask])
-
-
-def minor_table(spec: ModelSpec, t: float) -> MinorTable:
-    """Principal-minor coefficient table at time t (m <= 20)."""
-    if spec.m > MAX_MINOR_M:
-        raise SpecValidationError(f"minor table needs 2^m coefficients; m={spec.m} > {MAX_MINOR_M}")
-    if not t > 0.0 or not np.isfinite(t):
-        raise SpecValidationError("t must be positive and finite")
-    return _minor_table_cached(spec, float(t))
-
-
-@lru_cache(maxsize=128)
-def _minor_table_cached(spec: ModelSpec, t: float) -> MinorTable:
-    M = spec.A * spec.p[None, :]
-    coeffs = np.empty(1 << spec.m)
-    for mask in range(1 << spec.m):
-        idx = [i for i in range(spec.m) if mask >> i & 1]
-        if not idx:
-            det = 1.0
-        elif len(idx) == 1:
-            det = float(M[idx[0], idx[0]])
-        else:
-            det = float(np.linalg.det(M[np.ix_(idx, idx)]))
-        coeffs[mask] = (-t) ** len(idx) * det
-    coeffs.flags.writeable = False
-    return MinorTable(m=spec.m, t=t, coeffs=coeffs)
 
 
 @dataclass

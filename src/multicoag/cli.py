@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Subcommands: gelation, solve, localize, compare.  Exit codes: 0 success,
-2 invalid model instance, 3 criticality violation (t past T_c where a
-subcritical time is required), 4 violated hypothesis (e.g. zero p_i for
-localization), 5 numerical failure, 1 comparison verdict FAIL.
+2 invalid input (a model file, an argument or a path; one line), 3
+criticality violation (t past T_c where a subcritical time is required),
+4 violated hypothesis (e.g. zero p_i for localization), 5 numerical
+failure, 1 comparison verdict FAIL.
 
 Every file emitted gets a sibling <name>.manifest.json recording the
 command line, a hash of the model instance, seeds and wall time, so runs
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -35,9 +37,10 @@ from .errors import (
 from .model import (
     ModelSpec,
     SizeDistribution,
+    WindowMasses,
     compositions_up_to,
     mass_vector,
-    sorted_items,
+    scatter_window,
     validate,
     write_distribution_csv,
 )
@@ -79,9 +82,34 @@ def _threads(args: argparse.Namespace) -> int:
     return os.cpu_count() or 1
 
 
+def _check_args(args: argparse.Namespace) -> None:
+    """Argument faults, found before any work and named by their option (exit 2)."""
+    t, dt = getattr(args, "t", None), getattr(args, "dt", None)
+    if t is not None and not math.isfinite(t):
+        raise CoagulationError(f"--t must be finite, got {t!r}")
+    if dt is not None and not (math.isfinite(dt) and dt > 0.0):
+        raise CoagulationError(f"--dt must be finite and > 0, got {dt!r}")
+    for name in ("nmax", "replicates", "mc_replicates", "cap"):
+        count = getattr(args, name, None)
+        if count is not None and count < 1:
+            raise CoagulationError(f"--{name.replace('_', '-')} must be >= 1, got {count}")
+
+
+def _number_list(option: str, text: str, kind: type) -> list:
+    try:
+        return [kind(v) for v in text.split(",")]
+    except ValueError:
+        raise CoagulationError(f"{option} must be a comma-separated list of numbers, "
+                               f"got {text!r}") from None
+
+
 def _load_spec(path: str) -> ModelSpec:
     with open(path, encoding="utf-8") as f:
-        spec = ModelSpec.from_json_dict(json.load(f))
+        try:
+            data = json.load(f)
+        except ValueError as e:  # malformed JSON or not UTF-8
+            raise SpecValidationError(f"{path} is not valid JSON: {e}") from None
+    spec = ModelSpec.from_json_dict(data)
     report = validate(spec)
     for msg in report.messages:
         print(f"note: {msg}", file=sys.stderr)
@@ -125,24 +153,23 @@ def cmd_gelation(args: argparse.Namespace) -> int:
 def cmd_solve(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     spec = _load_spec(args.spec)
-    window = compositions_up_to(spec.m, args.nmax)
     summary: dict = {"method": args.method, "t": args.t, "nmax": args.nmax}
     seed = None
 
     if args.method == "analytic":
         if args.t == 0.0:
-            dist = SizeDistribution.monodisperse(spec)
+            initial = SizeDistribution.monodisperse(spec).entries
+            masses = WindowMasses(spec.m, args.nmax, scatter_window(spec.m, args.nmax, initial))
+            dist = SizeDistribution(t=0.0, m=spec.m, entries=masses)
         else:
             dist = analytic.solve_window(spec, args.t, args.nmax)
-        rows = [(c, dist.entries.get(c, 0.0)) for c in window]
-        write_distribution_csv(args.out, spec.m, rows)
+        write_distribution_csv(args.out, spec.m, dist.entries.items())
         mv = mass_vector(dist)
         summary["mass_vector"] = mv.tolist()
     elif args.method == "ode":
         cfg = ode.OdeConfig(dt=args.dt, form=args.form)
         snap = ode.integrate(spec, ode.TruncationWindow(args.nmax), cfg, t_end=args.t)[-1]
-        rows = [(c, snap.dist.entries.get(c, 0.0)) for c in window]
-        write_distribution_csv(args.out, spec.m, rows)
+        write_distribution_csv(args.out, spec.m, snap.dist.entries.items())
         mv = snap.mass
         summary.update(mass_vector=mv.tolist(), deficit=snap.deficit, flux_out=snap.flux_out,
                        dt=args.dt, form=args.form)
@@ -152,7 +179,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
                                     seed=args.seed, root=branching_mc.RANDOM_ROOT)
         est = branching_mc.estimate_pmf(spec, args.t, None, cfg, n_max=args.nmax,
                                         threads=_threads(args))
-        rows = [(c, est.pmf.get(c, (0.0, 0.0))) for c in window]
+        rows = [(c, est.pmf.get(c, (0.0, 0.0))) for c in compositions_up_to(spec.m, args.nmax)]
         write_distribution_csv(args.out, spec.m, rows, value_headers=("freq", "se"))
         summary.update(replicates=args.replicates, population_cap=args.cap, seed=args.seed,
                        censoring_rate=est.censoring_rate)
@@ -171,14 +198,19 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_localize(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
+    if args.rate_out and not args.rate_check:
+        raise CoagulationError("--rate-out needs --rate-check, the direction it tabulates")
     spec = _load_spec(args.spec)
     result = localization.minimize_gamma(spec, args.t)
     payload = result.to_dict()
     outputs: list[str] = []
     if args.rate_check:
-        rho = [float(v) for v in args.rate_check.split(",")]
-        n_list = [int(v) for v in args.n_list.split(",")]
-        seq = localization.empirical_rate(spec, args.t, rho, n_list)
+        rho = _number_list("--rate-check", args.rate_check, float)
+        n_list = _number_list("--n-list", args.n_list, int)
+        try:
+            seq = localization.empirical_rate(spec, args.t, rho, n_list)
+        except SpecValidationError as e:  # the spec is valid: the fault is in rho or n_list
+            raise CoagulationError(f"--rate-check/--n-list: {e}") from None
         payload["rate_check"] = {
             "rho": rho,
             "points": [[n, r] for n, r in seq.points],
@@ -197,16 +229,14 @@ def cmd_localize(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
     spec = _load_spec(args.spec)
     pgf.require_subcritical(spec, args.t)
-    window = compositions_up_to(spec.m, args.nmax)
 
-    exact = analytic.solve_window(spec, args.t, args.nmax)
+    exact = analytic.solve_window(spec, args.t, args.nmax).entries
     cfg = ode.OdeConfig(dt=args.dt, form="reduced")
     snap = ode.integrate(spec, ode.TruncationWindow(args.nmax), cfg, t_end=args.t)[-1]
 
-    gap_ode = max(abs(exact.entries.get(c, 0.0) - snap.dist.entries.get(c, 0.0)) for c in window)
+    gap_ode = float(np.max(np.abs(exact.array - snap.dist.entries.array)))
     ode_ok = gap_ode <= args.tol_ode
     trunc_ok = snap.deficit <= args.deficit_tol
 
@@ -218,8 +248,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     worst_z = 0.0
     worst_cell = None
     checked = 0
-    for c in window:
-        prob = sum(c) * exact.entries.get(c, 0.0)
+    for c, w in exact.items():
+        prob = sum(c) * w
         if prob < args.mc_floor:
             continue
         checked += 1
@@ -242,7 +272,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
         print("attribution: truncation deficit, not method disagreement; grow nmax "
               "or move t away from the critical time")
     print(f"verdict: {'PASS' if verdict else 'FAIL'}")
-    _manifest(args, spec, [], t0, seed=args.seed)
     return EXIT_OK if verdict else EXIT_COMPARE_FAIL
 
 
@@ -309,9 +338,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     args.raw_argv = argv
-    if not hasattr(args, "threads"):
-        args.threads = None
     try:
+        _check_args(args)
         return args.func(args)
     except SpecValidationError as e:
         print(f"error: invalid model instance: {e}", file=sys.stderr)

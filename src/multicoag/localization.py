@@ -130,8 +130,14 @@ def minimize_gamma(spec: ModelSpec, t: float, tol: float = 1e-10,
             cand = rho * np.exp(z)
             cand /= cand.sum()
             cand_value = gamma(spec, t, cand)
-            if cand_value <= value - ARMIJO_C1 * eta * decrease + VALUE_NOISE or eta < 1e-14:
+            target = value - ARMIJO_C1 * eta * decrease
+            if cand_value <= target or eta < 1e-14:
                 break
+            # inside the value noise floor, a step must shrink the projected gradient
+            if cand_value <= target + VALUE_NOISE:
+                cand_grad = gamma_gradient(spec, t, cand)
+                if np.linalg.norm(cand_grad - cand_grad.mean()) < gnorm:
+                    break
             eta *= 0.5
         rho, value = cand, cand_value
         eta = min(eta * 2.0, 1.0)

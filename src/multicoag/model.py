@@ -27,7 +27,7 @@ Composition = tuple[int, ...]
 
 P_SUM_EXACT_TOL = 1e-12   # |sum(p) - 1| below this: accepted verbatim
 P_SUM_RENORM_TOL = 1e-6   # below this: renormalized with a warning; above: rejected
-MASS_FLOOR = 1e-300       # entries below this are dropped when pruning
+MASS_FLOOR = 1e-300       # entries below this are dropped when pruning, 0.0 in ODE snapshots
 
 
 def as_composition(n: Iterable[int], m: int | None = None) -> Composition:
@@ -82,9 +82,12 @@ class ModelSpec:
     renormalized: bool = field(init=False, default=False)
 
     def __post_init__(self) -> None:
-        A = np.array(self.A, dtype=float)
-        p = np.array(self.p, dtype=float)
-        m = int(self.m)
+        try:
+            A = np.array(self.A, dtype=float)
+            p = np.array(self.p, dtype=float)
+            m = int(self.m)
+        except (TypeError, ValueError) as e:
+            raise SpecValidationError(f"m must be an integer and A, p numeric ({e})") from None
         if m < 1:
             raise SpecValidationError("m must be >= 1")
         if A.shape != (m, m):
@@ -130,8 +133,10 @@ class ModelSpec:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ModelSpec":
+        if not isinstance(d, dict):
+            raise SpecValidationError(f"spec JSON must be an object, got {type(d).__name__}")
         try:
-            return cls(m=int(d["m"]), A=d["A"], p=d["p"])
+            return cls(m=d["m"], A=d["A"], p=d["p"])
         except KeyError as e:
             raise SpecValidationError(f"spec JSON missing key {e}") from e
 
@@ -248,20 +253,32 @@ def _window_array(m: int, n_max: int) -> np.ndarray:
 
 class _ArrayValues(ValuesView):
     def __iter__(self) -> Iterator[float]:
-        return iter(self._mapping._values.tolist())
+        return iter(self._mapping.array.tolist())
 
 
 class _ArrayItems(ItemsView):
     def __iter__(self) -> Iterator[tuple[Composition, float]]:
-        return zip(self._mapping._keys, self._mapping._values.tolist())
+        return zip(self._mapping._keys, self._mapping.array.tolist())
+
+
+def scatter_window(m: int, n_max: int, entries: Mapping[Composition, float]) -> np.ndarray:
+    """A sparse mapping's values in window order, 0.0 elsewhere; a key outside raises."""
+    index = _window_index(m, n_max)
+    out = np.zeros(len(index))
+    for n, w in entries.items():
+        row = index.get(n)
+        if row is None:
+            raise SpecValidationError(f"composition {n} outside window n_max={n_max}")
+        out[row] = w
+    return out
 
 
 class WindowMasses(Mapping):
-    """Read-only masses of every composition with 1 <= |n| <= n_max.
+    """Read-only values of every composition with 1 <= |n| <= n_max.
 
-    The values sit in one float array in compositions_up_to order, and the
-    keys and their index are shared by all windows of the same shape, so a
-    window costs 8 bytes per cell where a dict costs about 100.
+    The one container of a whole-window result (exact, ODE snapshot, ODE rate):
+    `array` holds the values in compositions_up_to order, and the keys and their
+    index are shared per window shape, so a window costs 8 bytes per cell.
     """
 
     def __init__(self, m: int, n_max: int, values: np.ndarray):
@@ -270,10 +287,11 @@ class WindowMasses(Mapping):
         self._index = _window_index(m, n_max)
         if values.shape != (len(self._keys),):
             raise SpecValidationError(f"need {len(self._keys)} window values, got shape {values.shape}")
-        self._values = values
+        values.flags.writeable = False  # the window takes the array over
+        self.array = values
 
     def __getitem__(self, n: Composition) -> float:
-        return float(self._values[self._index[n]])
+        return float(self.array[self._index[n]])
 
     def __iter__(self) -> Iterator[Composition]:
         return iter(self._keys)
@@ -401,12 +419,3 @@ def borel_oracle(t: float, n: int) -> float:
         raise SpecValidationError("n must be >= 1")
     return math.exp((n - 2) * math.log(n) + (n - 1) * math.log(t) - n * t - math.lgamma(n + 1))
 
-
-def random_sparse_distribution(rng: np.random.Generator, m: int, n_max: int,
-                               k_entries: int = 8) -> SizeDistribution:
-    """Random sparse distribution for property tests (not part of the model API)."""
-    comps = compositions_up_to(m, n_max)
-    idx = rng.choice(len(comps), size=min(k_entries, len(comps)), replace=False)
-    return SizeDistribution(
-        t=0.0, m=m, entries={comps[i]: float(rng.uniform(0.0, 0.5)) for i in idx},
-    )

@@ -27,10 +27,14 @@ import numpy as np
 
 from .errors import IntegrationError, SpecValidationError
 from .model import (
+    MASS_FLOOR,
     Composition,
     ModelSpec,
     SizeDistribution,
+    WindowMasses,
+    _window_array,
     compositions_up_to,
+    scatter_window,
 )
 
 NEGATIVE_MASS_TOL = -1e-10  # entries in [tol, 0) are clipped; below it is an error
@@ -126,7 +130,7 @@ class _Convolution:
     """
 
     def __init__(self, m: int, n_max: int, size: int):
-        states = np.asarray(compositions_up_to(m, n_max), dtype=np.intp)
+        states = _window_array(m, n_max)
         self.count = len(states)  # cells, a prefix of any larger window's states
         self.box = (n_max + 1,) * m
         self.flat = np.ravel_multi_index(states.T, self.box)
@@ -175,26 +179,15 @@ class _WindowOperator:
             raise SpecValidationError(f"form must be one of {FORMS}")
         self.spec = spec
         self.form = form
-        self.states = window.states(spec.m)
-        self.index = {c: i for i, c in enumerate(self.states)}
-        self.comp = np.asarray(self.states, dtype=float)
+        self.comp = _window_array(spec.m, window.n_max).astype(float)
         self.sizes = self.comp.sum(axis=1)
         self.loss_reduced = self.comp @ (spec.A @ spec.p)
-        self.n_states = len(self.states)
         self.levels = [_Convolution(spec.m, n, size) for n, size in _fft_plan(spec.m, window.n_max)]
         self.gain_lam, self.gain_proj = _quadratic_form(spec.A, self.comp)
         self.pattern_lam, self.pattern_proj = _quadratic_form(
             (spec.A > 0.0).astype(float), (self.comp > 0.0).astype(float))
         self._last_zeros: tuple[np.ndarray | None, np.ndarray | None] = (None, None)
         self._lock = threading.Lock()
-
-    def initial_state(self) -> np.ndarray:
-        w = np.zeros(self.n_states)
-        for i in self.spec.support:
-            e = [0] * self.spec.m
-            e[i] = 1
-            w[self.index[tuple(e)]] = self.spec.p[i]
-        return w
 
     def _self_convolve(self, lam: np.ndarray, u: np.ndarray) -> np.ndarray:
         """sum_r lam_r (u_r * u_r) on the window cells, for u of shape (rank, cells)."""
@@ -237,21 +230,16 @@ def _operator(spec: ModelSpec, n_max: int, form: str) -> _WindowOperator:
 
 
 def derivative(spec: ModelSpec, dist: SizeDistribution, window: TruncationWindow,
-               form: str = "reduced") -> dict[Composition, float]:
-    """Right-hand side of the truncated system at one sparse state.
+               form: str = "reduced") -> WindowMasses:
+    """Right-hand side dw/dt of the truncated system at one sparse state.
 
-    The distribution must be supported inside the window.  Returns an entry
-    for every window composition (zeros included).
+    The distribution must be supported inside the window (else
+    SpecValidationError).  Returns dw/dt at every window cell, zeros included.
     """
     op = _operator(spec, window.n_max, form)
-    w = np.zeros(op.n_states)
-    for n, v in dist.entries.items():
-        idx = op.index.get(n)
-        if idx is None:
-            raise SpecValidationError(f"composition {n} outside window n_max={window.n_max}")
-        w[idx] = v
+    w = scatter_window(spec.m, window.n_max, dist.entries)
     dw, _ = op.derivative(w, op.gain_zeros(w != 0.0))
-    return {c: float(dw[i]) for i, c in enumerate(op.states)}
+    return WindowMasses(spec.m, window.n_max, dw)
 
 
 def _trajectory_rhs(op: _WindowOperator):
@@ -263,8 +251,8 @@ def _trajectory_rhs(op: _WindowOperator):
     spares a new mask on every step.  Cells outside the union of reachable
     compositions stay exactly zero.
     """
-    seen = np.zeros(op.n_states, dtype=bool)
-    zeros = np.ones(op.n_states, dtype=bool)
+    seen = np.zeros(len(op.comp), dtype=bool)
+    zeros = np.ones(len(op.comp), dtype=bool)
 
     def rhs(w: np.ndarray) -> tuple[np.ndarray, float]:
         nonlocal zeros
@@ -284,7 +272,8 @@ def integrate(spec: ModelSpec, window: TruncationWindow, config: OdeConfig,
     Steps are chosen so each record time is hit exactly: every interval
     between consecutive record times is split into equal steps no longer
     than config.dt.  Returns one snapshot per record time (default: just
-    t_end).
+    t_end); each holds the whole window as a WindowMasses, with 0.0 where
+    the state is below MASS_FLOOR.
     """
     if not (math.isfinite(t_end) and t_end > 0.0):
         raise SpecValidationError(f"t_end must be finite and > 0, got {t_end!r}")
@@ -294,15 +283,15 @@ def integrate(spec: ModelSpec, window: TruncationWindow, config: OdeConfig,
 
     op = _operator(spec, window.n_max, config.form)
     rhs = _trajectory_rhs(op)
-    w = op.initial_state()
+    w = scatter_window(spec.m, window.n_max, SizeDistribution.monodisperse(spec).entries)
     mass0 = float(spec.p.sum())
     flux_acc = 0.0
     t = 0.0
     snapshots: list[OdeSnapshot] = []
 
     def snap(at: float) -> OdeSnapshot:
-        entries = {c: float(w[i]) for i, c in enumerate(op.states) if w[i] != 0.0}
-        dist = SizeDistribution(t=at, m=spec.m, entries=entries).prune()
+        masses = WindowMasses(spec.m, window.n_max, np.where(w >= MASS_FLOOR, w, 0.0))
+        dist = SizeDistribution(t=at, m=spec.m, entries=masses)
         mw = op.comp.T @ w
         return OdeSnapshot(dist=dist, mass=mw, flux_out=flux_acc, deficit=mass0 - float(mw.sum()))
 

@@ -12,8 +12,10 @@ from multicoag import (
     McConfig,
     ModelSpec,
     OdeConfig,
+    SizeDistribution,
     SpecValidationError,
     TruncationWindow,
+    compositions_up_to,
     estimate_pmf,
     gelation_time,
     integrate,
@@ -116,6 +118,16 @@ def random_interior_simplex(rng: np.random.Generator, m: int,
     rho = rng.dirichlet(np.ones(m) * 2.0)
     rho = np.clip(rho, floor, None)
     return rho / rho.sum()
+
+
+def random_sparse_distribution(rng: np.random.Generator, m: int, n_max: int,
+                               k_entries: int = 8) -> SizeDistribution:
+    """Random sparse distribution for property tests (not part of the model API)."""
+    comps = compositions_up_to(m, n_max)
+    idx = rng.choice(len(comps), size=min(k_entries, len(comps)), replace=False)
+    return SizeDistribution(
+        t=0.0, m=m, entries={comps[i]: float(rng.uniform(0.0, 0.5)) for i in idx},
+    )
 
 
 def random_subcritical_instance(rng: np.random.Generator) -> tuple[ModelSpec, float]:

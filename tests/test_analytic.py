@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -10,11 +12,10 @@ from multicoag import (
     ModelSpec,
     NumericalBreakdownError,
     SpecValidationError,
+    as_composition,
     borel_oracle,
     compositions_up_to,
     gelation_time,
-    minor_table,
-    poisson_rates,
     progeny_pmf,
     solve,
     solve_detail,
@@ -23,9 +24,81 @@ from multicoag import (
     series_oracle,
 )
 from multicoag import analytic
-from multicoag.analytic import log_poisson_pmf
 
 from conftest import random_subcritical_instance, tree_compositions
+
+# The 2^m principal-minor expansion of the closed form's determinant: a test
+# oracle only, which no solve goes through.
+
+MAX_MINOR_M = 20                 # 2^m coefficient table: refuse beyond this
+
+
+def log_poisson_pmf(lam: float, k: int) -> float:
+    """log P(Z = k) for Z ~ Poisson(lam); -inf outside the support.
+
+    lam = 0 is the point mass at zero.
+    """
+    if not np.isfinite(lam) or lam < 0.0:
+        raise SpecValidationError(f"Poisson rate must be finite and >= 0, got {lam!r}")
+    k = int(k)
+    if k < 0:
+        return -math.inf
+    if lam == 0.0:
+        return 0.0 if k == 0 else -math.inf
+    return k * math.log(lam) - lam - math.lgamma(k + 1)
+
+
+def poisson_rates(spec: ModelSpec, t: float, n) -> np.ndarray:
+    """Rates lam_l = t * sum_k n_k A_kl p_l of the factorized Poisson counts."""
+    comp = np.asarray(as_composition(n, spec.m), dtype=float)
+    return t * (comp @ spec.A) * spec.p
+
+
+@dataclass(frozen=True)
+class MinorTable:
+    """All 2^m signed principal-minor coefficients of I - t A diag(p).
+
+    coeffs[mask] = (-t)^popcount(mask) * det((A diag(p))_{I,I}) with I the
+    set bits of mask, so that det(I - t diag(r) A diag(p)) = sum_I c_I r^I.
+    """
+
+    m: int
+    t: float
+    coeffs: np.ndarray
+
+    def coefficient(self, subset) -> float:
+        mask = 0
+        for i in subset:
+            if not 0 <= int(i) < self.m:
+                raise SpecValidationError(f"subset index {i} out of range")
+            mask |= 1 << int(i)
+        return float(self.coeffs[mask])
+
+
+def minor_table(spec: ModelSpec, t: float) -> MinorTable:
+    """Principal-minor coefficient table at time t (m <= 20)."""
+    if spec.m > MAX_MINOR_M:
+        raise SpecValidationError(f"minor table needs 2^m coefficients; m={spec.m} > {MAX_MINOR_M}")
+    if not t > 0.0 or not np.isfinite(t):
+        raise SpecValidationError("t must be positive and finite")
+    return _minor_table_cached(spec, float(t))
+
+
+@lru_cache(maxsize=128)
+def _minor_table_cached(spec: ModelSpec, t: float) -> MinorTable:
+    M = spec.A * spec.p[None, :]
+    coeffs = np.empty(1 << spec.m)
+    for mask in range(1 << spec.m):
+        idx = [i for i in range(spec.m) if mask >> i & 1]
+        if not idx:
+            det = 1.0
+        elif len(idx) == 1:
+            det = float(M[idx[0], idx[0]])
+        else:
+            det = float(np.linalg.det(M[np.ix_(idx, idx)]))
+        coeffs[mask] = (-t) ** len(idx) * det
+    coeffs.flags.writeable = False
+    return MinorTable(m=spec.m, t=t, coeffs=coeffs)
 
 
 def minor_sum_progeny(spec: ModelSpec, t: float, i: int, n) -> tuple[float, float]:

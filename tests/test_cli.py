@@ -237,6 +237,34 @@ def test_threads_env_not_an_integer_exit_2(spec_files, tmp_path, capsys, monkeyp
     assert not out.exists()
 
 
+M1_MODEL = '{"m": 1, "A": [[1.0]], "p": [1.0]}'
+
+
+@pytest.mark.parametrize("model, args, model_fault", [
+    ("[1, 2]", ["gelation"], True),
+    ('{"m": ', ["gelation"], True),
+    ('{"m": "x", "A": [[1.0]], "p": [1.0]}', ["gelation"], True),
+    (M1_MODEL, ["localize", "--t", "0.5", "--rate-check", "a,b"], False),
+    (M1_MODEL, ["localize", "--t", "0.5", "--rate-check", "1.0", "--n-list", "x"], False),
+    (M1_MODEL, ["localize", "--t", "0.5", "--rate-out", "OUT"], False),
+    (M1_MODEL, ["solve", "--t", "0.5", "--nmax", "0", "--out", "OUT"], False),
+    (M1_MODEL, ["solve", "--t", "nan", "--nmax", "5", "--method", "ode", "--out", "OUT"], False),
+    (M1_MODEL, ["compare", "--t", "0.5", "--nmax", "5", "--dt", "inf"], False),
+], ids=["non_object_json", "malformed_json", "m_not_an_integer", "rate_check_not_numbers",
+        "n_list_not_numbers", "rate_out_without_rate_check", "nmax_0", "t_nan", "dt_inf"])
+def test_input_faults_exit_2_with_one_line(tmp_path, capsys, model, args, model_fault):
+    # exit 1 is the compare verdict FAIL; only model-file faults read as a model error
+    spec = tmp_path / "model.json"
+    spec.write_text(model)
+    out = tmp_path / "out.csv"
+    argv = [args[0], str(spec)] + [str(out) if a == "OUT" else a for a in args[1:]]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert ("invalid model instance" in err[0]) == model_fault
+    assert not out.exists()
+
+
 @pytest.mark.skipif(shutil.which("multicoag") is None,
                     reason="no multicoag console script on PATH; install the package with pip install -e .")
 def test_console_script_installed(spec_files):

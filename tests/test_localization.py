@@ -142,6 +142,20 @@ def test_optimizer_certificate(m3_spec):
         assert best <= gamma(m3_spec, 0.5 * tc, probe) + 1e-10
 
 
+def test_minimize_gamma_does_not_stall_at_the_value_noise_floor():
+    # Here the full mirror step is unstable once the projected gradient is
+    # near 3e-7: the gradient grows while Gamma moves only by +-1e-15, so a
+    # value slack alone would accept those steps until max_iter.
+    spec = ModelSpec(m=3, A=[[1.0, 2.0, 0.5], [2.0, 0.0, 1.0], [0.5, 1.0, 1.5]],
+                     p=[0.5, 0.3, 0.2])
+    assert gelation_time(spec).T_c == pytest.approx(0.8684, abs=1e-4)
+    res = minimize_gamma(spec, 0.3, max_iter=1000)
+    assert res.converged and not res.boundary_minimum
+    assert res.grad_norm <= 1e-10
+    grad = gamma_gradient(spec, 0.3, res.rho_star)
+    assert np.linalg.norm(grad - grad.mean()) == res.grad_norm
+
+
 def test_minimum_nonnegative_and_decreasing_toward_gel(m3_spec, asym2_spec):
     for spec in (m3_spec, asym2_spec):
         tc = gelation_time(spec).T_c

@@ -20,8 +20,11 @@ from multicoag import (
     mass_loss_curve,
     mass_vector,
 )
-from multicoag.model import random_sparse_distribution
+from multicoag import ode
+from multicoag.model import WindowMasses
 from multicoag.ode import FORMS
+
+from conftest import random_sparse_distribution
 
 
 def pair_sum_derivative(spec, dist, window, form):
@@ -73,6 +76,13 @@ def test_derivative_matches_pair_sum_oracle(m1_spec, bip_spec, asym2_spec, m3_sp
                 want, largest = pair_sum_derivative(spec, dist, window, form)
                 assert [n for n in want if got[n] == 0.0] == [n for n in want if want[n] == 0.0]
                 assert max(abs(got[n] - want[n]) for n in want) <= 16 * ulp * largest
+
+
+def test_derivative_is_a_window_mapping(m3_spec):
+    window = TruncationWindow(6)
+    dw = derivative(m3_spec, SizeDistribution.monodisperse(m3_spec), window)
+    assert isinstance(dw, WindowMasses)
+    assert list(dw) == list(window.states(3))
 
 
 def test_derivative_full_equals_reduced_at_t0(bip_spec):
@@ -180,3 +190,15 @@ def test_ode_config_validation():
 def test_snapshot_masses_match_distribution(m1_red_60, m1_spec):
     snap = m1_red_60[0.9]
     assert np.allclose(snap.mass, mass_vector(snap.dist), atol=1e-12)
+
+
+def test_snapshot_covers_the_window_with_the_mass_floor(m1_spec, bip_red_60, monkeypatch):
+    snap = bip_red_60[1.0]
+    assert list(snap.dist.entries) == list(TruncationWindow(60).states(2))
+    assert snap.dist.entries[(2, 0)] == 0.0  # like types never merge here
+    # a state below MASS_FLOOR = 1e-300 is recorded as 0.0, one at or above it as is
+    state = np.array([0.5, 2e-300, 1e-310, 0.0, 0.25])
+    monkeypatch.setattr(ode, "_step", lambda rhs, w, acc, h, method: (state.copy(), acc))
+    snap = integrate(m1_spec, TruncationWindow(5), OdeConfig(dt=0.1), t_end=0.1)[-1]
+    assert list(snap.dist.entries.items()) == [
+        ((1,), 0.5), ((2,), 2e-300), ((3,), 0.0), ((4,), 0.0), ((5,), 0.25)]

@@ -1,0 +1,32 @@
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+
+import multicoag
+
+DROPPED = ("minor_table", "MinorTable", "poisson_rates")  # test oracles, now in the tests
+
+PROBE = f"""
+import sys
+import multicoag
+from multicoag import analytic
+print(sorted(m for m in ("scipy", "mpmath", "hypothesis") if m in sys.modules))
+print([n for n in multicoag.__all__ if not hasattr(multicoag, n)])
+print([n for n in {DROPPED!r}
+       if n in multicoag.__all__ or hasattr(multicoag, n) or hasattr(analytic, n)])
+"""
+
+
+def test_import_boundary():
+    # a fresh interpreter: this one has already imported what the tests need
+    src = os.path.dirname(os.path.dirname(multicoag.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", PROBE], capture_output=True, text=True,
+                          env=env, check=True)
+    heavy, unresolved, still_there = proc.stdout.splitlines()
+    assert heavy == "[]"
+    assert unresolved == "[]"
+    assert still_there == "[]"
