@@ -85,8 +85,12 @@ def _threads(args: argparse.Namespace) -> int:
 def _check_args(args: argparse.Namespace) -> None:
     """Argument faults, found before any work and named by their option (exit 2)."""
     t, dt = getattr(args, "t", None), getattr(args, "dt", None)
-    if t is not None and not math.isfinite(t):
-        raise CoagulationError(f"--t must be finite, got {t!r}")
+    if t is not None:  # t = 0 is the initial state, which only analytic and mc can emit
+        if args.command == "solve" and args.method != "ode":
+            if not (math.isfinite(t) and t >= 0.0):
+                raise CoagulationError(f"--t must be finite and >= 0, got {t!r}")
+        elif not (math.isfinite(t) and t > 0.0):
+            raise CoagulationError(f"--t must be finite and > 0, got {t!r}")
     if dt is not None and not (math.isfinite(dt) and dt > 0.0):
         raise CoagulationError(f"--dt must be finite and > 0, got {dt!r}")
     for name in ("nmax", "replicates", "mc_replicates", "cap"):
@@ -172,7 +176,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         write_distribution_csv(args.out, spec.m, snap.dist.entries.items())
         mv = snap.mass
         summary.update(mass_vector=mv.tolist(), deficit=snap.deficit, flux_out=snap.flux_out,
-                       dt=args.dt, form=args.form)
+                       clipped_cells=snap.clipped, dt=args.dt, form=args.form)
     else:  # mc
         seed = args.seed
         cfg = branching_mc.McConfig(replicates=args.replicates, population_cap=args.cap,

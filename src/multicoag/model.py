@@ -86,8 +86,10 @@ class ModelSpec:
             A = np.array(self.A, dtype=float)
             p = np.array(self.p, dtype=float)
             m = int(self.m)
-        except (TypeError, ValueError) as e:
+        except (TypeError, ValueError, OverflowError) as e:
             raise SpecValidationError(f"m must be an integer and A, p numeric ({e})") from None
+        if isinstance(self.m, (bool, np.bool_)) or m != self.m:
+            raise SpecValidationError(f"m must be an integer, got {self.m!r}")
         if m < 1:
             raise SpecValidationError("m must be >= 1")
         if A.shape != (m, m):

@@ -4,11 +4,20 @@ The state lives on all compositions with 1 <= |n| <= N_max.  Gains come
 from the windowed convolution 0.5 * sum_{k+l=n} K(k,l) w_k w_l; merges that
 would leave the window are discarded but their mass flux is accumulated so
 conservation checks can attribute losses.  Because the kernel is bilinear,
-the gain is one convolution, computed by FFT on the (N_max+1)^m grid: with
-A = V diag(lam) V^T it equals 0.5 * sum_r lam_r (u_r * u_r)(n), where
-u_r(n) = (n . v_r) w_n (see _fft_plan for the circular lengths).  The FFT
-leaves rounding noise of about 1e-16 times the largest term in every cell,
-so cells where the pair sum is exactly zero are masked: a second
+the gain is one convolution: with A = V diag(lam) V^T it equals
+0.5 * sum_r lam_r (u_r * u_r)(n), where u_r(n) = (n . v_r) w_n.
+
+The convolution is one FFT per window, in graded coordinates
+(n_1, ..., n_{m-1}, |n|), which add like n does.  The size axis |n| has
+circular length L >= 2 N_max and every other axis length P >= N_max + 1
+(each the next 7-smooth length).  No pair aliases onto a window cell: a sum
+that wraps on the size axis has |k| + |l| = |n| + L > 2 N_max, and a pair
+that lands on the cell n has k_i + l_i <= |n| <= N_max < P on every other
+axis.  So only the size axis is padded; for m = 3 at N_max = 20 the grid is
+21 x 21 x 40 points against the (2 N_max)^3 of a plain box.
+
+The FFT leaves rounding noise of about 1e-16 times the largest term in
+every cell, so cells where the pair sum is exactly zero are masked: a second
 convolution, of the support indicators against the positivity pattern of
 A, counts the nonzero terms of each cell, and is recomputed only when the
 support changes.  The loss term uses the frozen initial mass vector p
@@ -82,6 +91,7 @@ class OdeSnapshot:
     mass: np.ndarray       # instantaneous windowed mass vector
     flux_out: float        # accumulated mass that left through the window boundary
     deficit: float         # |m(0)| - |m(t)| of the truncated system
+    clipped: int           # distinct cells clipped from FFT noise to 0 so far
 
 
 def _fft_length(n: int) -> int:
@@ -103,72 +113,45 @@ def _quadratic_form(M: np.ndarray, coords: np.ndarray) -> tuple[np.ndarray, np.n
     return lam[keep], (coords @ V[:, keep]).T
 
 
-def _fft_plan(m: int, n_max: int) -> list[tuple[int, int]]:
-    """(window, circular length) of each level of the gain convolution.
-
-    Length 2n aliases nothing onto a window n: a sum k + l that wraps in some
-    axis has |k| + |l| >= 2n, so it lands on 0.  A length L in [n + 1, 2n)
-    wraps a sum at most once, onto a cell with |k + l| - L <= 2n - L, so an
-    exact inner level over the window 2n - L recomputes those cells.  For
-    m >= 3 the outer length 1.6n with its inner level transforms ~40% fewer
-    points than 2n; for m <= 2 the saving does not pay for the extra calls.
-    """
-    if m < 3:
-        return [(n_max, _fft_length(2 * n_max))]
-    size = _fft_length(math.ceil(1.6 * n_max))
-    inner = 2 * n_max - size
-    return [(n_max, size)] + ([(inner, _fft_length(2 * inner))] if inner >= 1 else [])
-
-
 class _Convolution:
-    """sum_r lam_r (u_r * u_r) on one window by FFT of one circular length.
+    """sum_r lam_r (u_r * u_r) on one window, for u of one rank, by one FFT.
 
-    Each axis is transformed as the contiguous last axis in turn, because
-    numpy.fft is several times slower along strided axes, and into buffers
-    kept here, because fresh arrays of this size cost page faults on every
-    call.  Not safe for concurrent calls: the owner serializes them.
+    The grid is in graded coordinates (n_1, ..., n_{m-1}, |n|): the size axis
+    is the contiguous real-FFT axis, of circular length _fft_length(2 n_max),
+    and every other axis has length _fft_length(n_max + 1).  The buffers, the
+    views the inverse transforms work on and both cell indices are built here
+    once, so a call only scatters, transforms in place and multiplies.  Not
+    safe for concurrent calls: the owner serializes them.
     """
 
-    def __init__(self, m: int, n_max: int, size: int):
+    def __init__(self, m: int, n_max: int, rank: int):
         states = _window_array(m, n_max)
-        self.count = len(states)  # cells, a prefix of any larger window's states
-        self.box = (n_max + 1,) * m
-        self.flat = np.ravel_multi_index(states.T, self.box)
-        self.size = size
-        self._buffers: dict[tuple, np.ndarray] = {}
-
-    def _buffer(self, tag: str, shape: tuple[int, ...], dtype) -> np.ndarray:
-        key = (tag, shape, np.dtype(dtype))
-        if key not in self._buffers:
-            self._buffers[key] = np.zeros(shape, dtype)
-        return self._buffers[key]
-
-    def _transform(self, tag: str, fn, x: np.ndarray, axis: int) -> np.ndarray:
-        """A numpy.fft transform of length self.size along `axis`, which ends up last."""
-        if axis != x.ndim - 1:
-            moved = np.moveaxis(x, axis, -1)
-            x = self._buffer(tag + ".in", moved.shape, moved.dtype)
-            np.copyto(x, moved)
-        length = self.size // 2 + 1 if fn is np.fft.rfft else self.size
-        dtype = float if fn is np.fft.irfft else complex
-        out = self._buffer(tag, x.shape[:-1] + (length,), dtype)
-        return fn(x, n=self.size, axis=-1, out=out)
+        graded = np.column_stack([states[:, :-1], states.sum(axis=1)]).T
+        side, self.size = n_max + 1, _fft_length(2 * n_max)
+        self.grid = np.zeros((rank,) + (_fft_length(side),) * (m - 1) + (self.size,))
+        self.cells = self.grid.reshape(rank, -1)
+        self.scatter = np.ravel_multi_index(graded, self.grid.shape[1:])
+        self.spectrum = np.empty(self.grid.shape[:-1] + (self.size // 2 + 1,), complex)
+        self.lam_shape = (rank,) + (1,) * m
+        self.total = np.empty(self.spectrum.shape[1:], complex)
+        # the sum cut to the cells n_i <= n_max on the axes inverted before `axis`
+        self.inverse = [self.total[(slice(0, side),) * axis] for axis in range(m)]
+        self.out = np.empty(self.inverse[-1].shape[:-1] + (self.size,))
+        self.gather = np.ravel_multi_index(graded, self.out.shape)
 
     def __call__(self, lam: np.ndarray, u: np.ndarray) -> np.ndarray:
         """The sum on the window cells, for u of shape (rank, cells)."""
-        rank, side, m = len(lam), self.box[0], len(self.box)
-        grid = self._buffer("grid", (rank, side ** m), float)
-        grid[:, self.flat] = u
-        X = self._transform("f0", np.fft.rfft, grid.reshape((rank,) + self.box), -1)
-        for j in range(1, m):
-            X = self._transform(f"f{j}", np.fft.fft, X, 1)
-        X *= X
-        X *= lam.reshape((rank,) + (1,) * m)
-        G = np.sum(X, axis=0, out=self._buffer("sum", X.shape[1:], complex))
-        for j in range(1, m):
-            G = self._transform(f"i{j}", np.fft.ifft, G, 1)[..., :side]
-        g = self._transform("i0", np.fft.irfft, G, 0)[..., :side]
-        return g.reshape(-1)[self.flat]
+        self.cells[:, self.scatter] = u
+        x = np.fft.rfft(self.grid, n=self.size, axis=-1, out=self.spectrum)
+        for axis in range(1, x.ndim - 1):
+            np.fft.fft(x, axis=axis, out=x)
+        x *= x
+        x *= lam.reshape(self.lam_shape)
+        np.sum(x, axis=0, out=self.total)
+        for axis, g in enumerate(self.inverse[:-1]):
+            np.fft.ifft(g, axis=axis, out=g)
+        np.fft.irfft(self.inverse[-1], n=self.size, axis=-1, out=self.out)
+        return self.out.reshape(-1)[self.gather]
 
 
 class _WindowOperator:
@@ -182,20 +165,18 @@ class _WindowOperator:
         self.comp = _window_array(spec.m, window.n_max).astype(float)
         self.sizes = self.comp.sum(axis=1)
         self.loss_reduced = self.comp @ (spec.A @ spec.p)
-        self.levels = [_Convolution(spec.m, n, size) for n, size in _fft_plan(spec.m, window.n_max)]
         self.gain_lam, self.gain_proj = _quadratic_form(spec.A, self.comp)
         self.pattern_lam, self.pattern_proj = _quadratic_form(
             (spec.A > 0.0).astype(float), (self.comp > 0.0).astype(float))
+        self.convolutions = {rank: _Convolution(spec.m, window.n_max, rank)
+                             for rank in {len(self.gain_lam), len(self.pattern_lam)}}
         self._last_zeros: tuple[np.ndarray | None, np.ndarray | None] = (None, None)
         self._lock = threading.Lock()
 
     def _self_convolve(self, lam: np.ndarray, u: np.ndarray) -> np.ndarray:
         """sum_r lam_r (u_r * u_r) on the window cells, for u of shape (rank, cells)."""
         with self._lock:
-            out = self.levels[0](lam, u)
-            for level in self.levels[1:]:
-                out[:level.count] = level(lam, u[:, :level.count])
-            return out
+            return self.convolutions[len(lam)](lam, u)
 
     def gain_zeros(self, support: np.ndarray) -> np.ndarray:
         """Cells where every pair-sum term K(k,l) w_k w_l vanishes when supp(w) = support.
@@ -273,7 +254,8 @@ def integrate(spec: ModelSpec, window: TruncationWindow, config: OdeConfig,
     between consecutive record times is split into equal steps no longer
     than config.dt.  Returns one snapshot per record time (default: just
     t_end); each holds the whole window as a WindowMasses, with 0.0 where
-    the state is below MASS_FLOOR.
+    the state is below MASS_FLOOR, and counts the cells that went negative
+    from FFT noise and were clipped to 0 at least once.
     """
     if not (math.isfinite(t_end) and t_end > 0.0):
         raise SpecValidationError(f"t_end must be finite and > 0, got {t_end!r}")
@@ -285,6 +267,7 @@ def integrate(spec: ModelSpec, window: TruncationWindow, config: OdeConfig,
     rhs = _trajectory_rhs(op)
     w = scatter_window(spec.m, window.n_max, SizeDistribution.monodisperse(spec).entries)
     mass0 = float(spec.p.sum())
+    clipped = np.zeros(len(w), dtype=bool)
     flux_acc = 0.0
     t = 0.0
     snapshots: list[OdeSnapshot] = []
@@ -293,7 +276,8 @@ def integrate(spec: ModelSpec, window: TruncationWindow, config: OdeConfig,
         masses = WindowMasses(spec.m, window.n_max, np.where(w >= MASS_FLOOR, w, 0.0))
         dist = SizeDistribution(t=at, m=spec.m, entries=masses)
         mw = op.comp.T @ w
-        return OdeSnapshot(dist=dist, mass=mw, flux_out=flux_acc, deficit=mass0 - float(mw.sum()))
+        return OdeSnapshot(dist=dist, mass=mw, flux_out=flux_acc, deficit=mass0 - float(mw.sum()),
+                           clipped=int(clipped.sum()))
 
     for target in records:
         span = target - t
@@ -302,7 +286,7 @@ def integrate(spec: ModelSpec, window: TruncationWindow, config: OdeConfig,
             h = span / n_steps
             for _ in range(n_steps):
                 w, flux_acc = _step(rhs, w, flux_acc, h, config.method)
-                _check_state(w)
+                _check_state(w, clipped)
             t = target
         snapshots.append(snap(target))
     return snapshots
@@ -320,13 +304,16 @@ def _step(rhs, w: np.ndarray, acc: float, h: float, method: str):
     return w_new, acc_new
 
 
-def _check_state(w: np.ndarray) -> None:
+def _check_state(w: np.ndarray, clipped: np.ndarray) -> None:
+    """Raise on a non-finite or clearly negative state; clip the FFT noise below 0
+    to 0 and mark the clipped cells."""
     if not np.all(np.isfinite(w)):
         raise IntegrationError("non-finite state; the step size is too large for this window")
     low = float(w.min())
     if low < NEGATIVE_MASS_TOL:
         raise IntegrationError(f"mass went negative ({low:.3e} < {NEGATIVE_MASS_TOL})")
     if low < 0.0:
+        clipped |= w < 0.0
         np.clip(w, 0.0, None, out=w)
 
 

@@ -53,6 +53,27 @@ def m3_spec() -> ModelSpec:
 
 
 @pytest.fixture(scope="session")
+def two_type_spec() -> ModelSpec:
+    # unequal self-rates and unequal masses, no symmetry to hide an index slip
+    return ModelSpec(m=2, A=[[1.0, 0.5], [0.5, 2.0]], p=[0.6, 0.4])
+
+
+@pytest.fixture(scope="session")
+def red3_spec() -> ModelSpec:
+    # reducible: types 0 and 1 never meet type 2
+    return ModelSpec(m=3, A=[[1.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]],
+                     p=[0.3, 0.3, 0.4])
+
+
+@pytest.fixture(scope="session")
+def m4_spec() -> ModelSpec:
+    # zeros in A and one empty type
+    return ModelSpec(m=4, A=[[1.0, 0.5, 0.0, 1.2], [0.5, 0.3, 0.8, 0.0],
+                             [0.0, 0.8, 1.1, 0.6], [1.2, 0.0, 0.6, 0.0]],
+                     p=[0.4, 0.25, 0.35, 0.0])
+
+
+@pytest.fixture(scope="session")
 def stoch_spec() -> ModelSpec:
     # A diag(p) = [[0,1],[1,0]] is doubly stochastic; minimizer pinned at (0.5, 0.5)
     return ModelSpec(m=2, A=[[0.0, 2.0], [2.0, 0.0]], p=[0.5, 0.5])

@@ -128,14 +128,7 @@ def minor_sum_progeny(spec: ModelSpec, t: float, i: int, n) -> tuple[float, floa
 
 
 def _spec_by_name(request, name: str) -> ModelSpec:
-    if name == "red3":  # reducible: types 0 and 1 never meet type 2
-        return ModelSpec(m=3, A=[[1.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]],
-                         p=[0.3, 0.3, 0.4])
-    if name == "m4":  # zeros in A and one empty type
-        return ModelSpec(m=4, A=[[1.0, 0.5, 0.0, 1.2], [0.5, 0.3, 0.8, 0.0],
-                                 [0.0, 0.8, 1.1, 0.6], [1.2, 0.0, 0.6, 0.0]],
-                         p=[0.4, 0.25, 0.35, 0.0])
-    return request.getfixturevalue(name)
+    return request.getfixturevalue(name if name.endswith("_spec") else name + "_spec")
 
 
 def test_log_poisson_pmf_examples():

@@ -134,6 +134,14 @@ def test_solve_ode_blowup_exit_5(spec_files, tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_solve_ode_manifest_counts_clipped_cells(spec_files, tmp_path, capsys):
+    out = tmp_path / "w.csv"
+    assert main(["solve", spec_files["m1"], "--t", "0.5", "--nmax", "10", "--method", "ode",
+                 "--out", str(out)]) == 0
+    summary = json.loads((tmp_path / "w.csv.manifest.json").read_text())["summary"]
+    assert isinstance(summary["clipped_cells"], int) and 0 <= summary["clipped_cells"] <= 10
+
+
 def test_localize_stochastic(spec_files, capsys):
     assert main(["localize", spec_files["stoch"], "--t", "0.5"]) == 0
     out = json.loads(capsys.readouterr().out)
@@ -244,14 +252,25 @@ M1_MODEL = '{"m": 1, "A": [[1.0]], "p": [1.0]}'
     ("[1, 2]", ["gelation"], True),
     ('{"m": ', ["gelation"], True),
     ('{"m": "x", "A": [[1.0]], "p": [1.0]}', ["gelation"], True),
+    ('{"m": 1.7, "A": [[1.0]], "p": [1.0]}', ["gelation"], True),
+    ('{"m": true, "A": [[1.0]], "p": [1.0]}', ["gelation"], True),
     (M1_MODEL, ["localize", "--t", "0.5", "--rate-check", "a,b"], False),
     (M1_MODEL, ["localize", "--t", "0.5", "--rate-check", "1.0", "--n-list", "x"], False),
     (M1_MODEL, ["localize", "--t", "0.5", "--rate-out", "OUT"], False),
     (M1_MODEL, ["solve", "--t", "0.5", "--nmax", "0", "--out", "OUT"], False),
     (M1_MODEL, ["solve", "--t", "nan", "--nmax", "5", "--method", "ode", "--out", "OUT"], False),
     (M1_MODEL, ["compare", "--t", "0.5", "--nmax", "5", "--dt", "inf"], False),
-], ids=["non_object_json", "malformed_json", "m_not_an_integer", "rate_check_not_numbers",
-        "n_list_not_numbers", "rate_out_without_rate_check", "nmax_0", "t_nan", "dt_inf"])
+    # a time before the start is an argument fault; code 3 is for t at or past T_c
+    (M1_MODEL, ["solve", "--t", "0", "--nmax", "5", "--method", "ode", "--out", "OUT"], False),
+    (M1_MODEL, ["solve", "--t", "-1", "--nmax", "5", "--out", "OUT"], False),
+    (M1_MODEL, ["solve", "--t", "-1", "--nmax", "5", "--method", "mc", "--out", "OUT"], False),
+    (M1_MODEL, ["compare", "--t", "0", "--nmax", "5"], False),
+    (M1_MODEL, ["localize", "--t", "0"], False),
+    (M1_MODEL, ["localize", "--t", "-2", "--rate-check", "1.0", "--rate-out", "OUT"], False),
+], ids=["non_object_json", "malformed_json", "m_not_an_integer", "m_fractional", "m_boolean",
+        "rate_check_not_numbers", "n_list_not_numbers", "rate_out_without_rate_check", "nmax_0",
+        "t_nan", "dt_inf", "ode_t_0", "analytic_t_negative", "mc_t_negative", "compare_t_0",
+        "localize_t_0", "localize_t_negative"])
 def test_input_faults_exit_2_with_one_line(tmp_path, capsys, model, args, model_fault):
     # exit 1 is the compare verdict FAIL; only model-file faults read as a model error
     spec = tmp_path / "model.json"

@@ -49,6 +49,14 @@ def test_validate_rejects_bad_instances():
         ModelSpec(m=1, A=[[1.0]], p=[-1.0])
 
 
+def test_spec_takes_only_an_integral_m():
+    for m in (1.7, True, np.True_, "1", math.inf):
+        with pytest.raises(SpecValidationError, match="m must be an integer"):
+            ModelSpec(m=m, A=[[1.0]], p=[1.0])
+    for m in (1, 1.0, np.int64(1)):
+        assert ModelSpec(m=m, A=[[1.0]], p=[1.0]).m == 1
+
+
 def test_symmetrization_and_renormalization_flags():
     spec = ModelSpec(m=2, A=[[0.0, 2.0], [0.0, 0.0]], p=[0.5, 0.5])
     assert spec.symmetrized

@@ -15,10 +15,12 @@ from multicoag import (
     TruncationWindow,
     borel_oracle,
     derivative,
+    gelation_time,
     integrate,
     kernel,
     mass_loss_curve,
     mass_vector,
+    solve_window,
 )
 from multicoag import ode
 from multicoag.model import WindowMasses
@@ -40,8 +42,9 @@ def pair_sum_derivative(spec, dist, window, form):
         terms = []
         for k in product(*(range(c + 1) for c in n)):
             l = tuple(a - b for a, b in zip(n, k))
-            if any(k) and any(l):
-                terms.append(kernel(spec, k, l) * w.get(k, 0.0) * w.get(l, 0.0))
+            wk, wl = w.get(k, 0.0), w.get(l, 0.0)
+            if any(k) and any(l) and wk != 0.0 and wl != 0.0:  # else the term is an exact 0
+                terms.append(kernel(spec, k, l) * wk * wl)
         loss = w.get(n, 0.0) * float(np.asarray(n, dtype=float) @ (spec.A @ mass))
         out[n] = 0.5 * math.fsum(terms) - loss
         largest = max([largest, abs(loss)] + [abs(t) for t in terms])
@@ -64,10 +67,12 @@ def test_derivative_examples_bipartite(bip_spec):
     assert dw[(2, 0)] == 0.0  # like-type merging blocked by the kernel
 
 
-def test_derivative_matches_pair_sum_oracle(m1_spec, bip_spec, asym2_spec, m3_spec):
+def test_derivative_matches_pair_sum_oracle(m1_spec, bip_spec, asym2_spec, m3_spec, m4_spec):
     rng = np.random.default_rng(5)
     ulp = np.finfo(float).eps
-    for spec, n_max in ((m1_spec, 12), (bip_spec, 8), (asym2_spec, 8), (m3_spec, 5)):
+    # m3 at 10 pads its composition axes from 11 to 12; m4 at 4 has three of them
+    for spec, n_max in ((m1_spec, 12), (bip_spec, 8), (asym2_spec, 8), (m3_spec, 5),
+                        (m3_spec, 10), (m4_spec, 4)):
         window = TruncationWindow(n_max)
         for _ in range(20):
             dist = random_sparse_distribution(rng, spec.m, n_max)
@@ -76,6 +81,45 @@ def test_derivative_matches_pair_sum_oracle(m1_spec, bip_spec, asym2_spec, m3_sp
                 want, largest = pair_sum_derivative(spec, dist, window, form)
                 assert [n for n in want if got[n] == 0.0] == [n for n in want if want[n] == 0.0]
                 assert max(abs(got[n] - want[n]) for n in want) <= 16 * ulp * largest
+
+
+def largest_pair_term(spec, comp, w, loss):
+    """Largest |K(k,l) w_k w_l| over pairs with |k| + |l| <= N, or |w_n loss_n| if larger.
+
+    The window is graded, so the partners l of k are a prefix of its rows.
+    """
+    sizes = comp.sum(axis=1)
+    largest = float(np.abs(w * loss).max())
+    for k, wk in zip(comp, w):
+        partners = np.searchsorted(sizes, sizes[-1] - k.sum(), side="right")
+        terms = (comp[:partners] @ (spec.A @ k)) * w[:partners] * wk
+        largest = max(largest, float(np.abs(terms).max(initial=0.0)))
+    return largest
+
+
+@pytest.mark.parametrize("name, n_max", [("m1_spec", 60), ("bip_spec", 30), ("two_type_spec", 40),
+                                         ("m3_spec", 20), ("red3_spec", 15)])
+def test_closed_form_solves_the_window_ode(request, name, n_max):
+    """The exact w_n(t) makes the reduced right-hand side equal its time derivative.
+
+    In the reduced form the gain at n uses only cells of smaller |n|, so on the
+    exact state the window's right-hand side is the exact one, and
+    d/dt w_n = w_n ((|n| - 1)/t - s_n) with s_n = n . (A p), on every cell.
+    """
+    spec = request.getfixturevalue(name)
+    ulp = np.finfo(float).eps
+    window = TruncationWindow(n_max)
+    comp = np.array(window.states(spec.m), dtype=float)
+    s = comp @ (spec.A @ spec.p)
+    tc = gelation_time(spec).T_c
+    for frac in (0.1, 0.5, 0.9):
+        t = frac * tc
+        w = solve_window(spec, t, n_max)
+        dw = derivative(spec, w, window).array
+        w = w.entries.array
+        want = w * ((comp.sum(axis=1) - 1.0) / t - s)
+        assert np.all(dw[w == 0.0] == 0.0)
+        assert np.max(np.abs(dw - want)) <= 16 * ulp * largest_pair_term(spec, comp, w, s)
 
 
 def test_derivative_is_a_window_mapping(m3_spec):
@@ -202,3 +246,16 @@ def test_snapshot_covers_the_window_with_the_mass_floor(m1_spec, bip_red_60, mon
     snap = integrate(m1_spec, TruncationWindow(5), OdeConfig(dt=0.1), t_end=0.1)[-1]
     assert list(snap.dist.entries.items()) == [
         ((1,), 0.5), ((2,), 2e-300), ((3,), 0.0), ((4,), 0.0), ((5,), 0.25)]
+
+
+def test_snapshots_count_the_clipped_cells(m1_spec, monkeypatch):
+    # FFT noise below 0 is clipped; each snapshot counts the distinct cells so far
+    states = iter([[0.5, -1e-12, 0.1, 0.0, 0.0], [0.5, -1e-12, -1e-13, 0.0, 0.0],
+                   [0.5, 0.0, 0.1, 0.0, 0.0]])
+    monkeypatch.setattr(ode, "_step",
+                        lambda rhs, w, acc, h, method: (np.array(next(states)), acc))
+    snaps = integrate(m1_spec, TruncationWindow(5), OdeConfig(dt=0.1, record_times=(0.1, 0.3)),
+                      t_end=0.3)
+    assert [snap.clipped for snap in snaps] == [1, 2]
+    assert snaps[0].dist.entries[(2,)] == 0.0
+
