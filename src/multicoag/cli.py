@@ -79,6 +79,8 @@ def _threads(args: argparse.Namespace) -> int:
             return max(1, int(env))
         except ValueError:
             raise CoagulationError(f"COAG_THREADS must be an integer, got {env!r}") from None
+    if hasattr(os, "sched_getaffinity"):  # the CPUs this process may run on, not the host's
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
@@ -97,6 +99,9 @@ def _check_args(args: argparse.Namespace) -> None:
         count = getattr(args, name, None)
         if count is not None and count < 1:
             raise CoagulationError(f"--{name.replace('_', '-')} must be >= 1, got {count}")
+    seed = getattr(args, "seed", None)
+    if seed is not None and seed < 0:  # SeedSequence takes no negative entropy
+        raise CoagulationError(f"--seed must be >= 0, got {seed}")
 
 
 def _number_list(option: str, text: str, kind: type) -> list:
@@ -305,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--cap", type=int, default=100_000, help="MC population cap")
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--threads", type=int, default=None,
-                   help="MC worker threads (default: COAG_THREADS, else the CPU count)")
+                   help="MC worker threads (default: COAG_THREADS, else the usable CPU count)")
     s.set_defaults(func=cmd_solve)
 
     l = sub.add_parser("localize", help="minimize the rate function over directions")
@@ -333,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--mc-floor", type=float, default=1e-3,
                    help="only check cells with analytic probability >= this")
     c.add_argument("--threads", type=int, default=None,
-                   help="MC worker threads (default: COAG_THREADS, else the CPU count)")
+                   help="MC worker threads (default: COAG_THREADS, else the usable CPU count)")
     c.set_defaults(func=cmd_compare)
     return parser
 

@@ -69,6 +69,23 @@ def test_config_validation():
         McConfig(replicates=10, population_cap=0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("seed", -1), ("seed", True), ("seed", 2.5), ("seed", "3"), ("seed", None),
+    ("replicates", True), ("replicates", 2.5), ("replicates", float("nan")),
+    # a nan cap would pass a `< 1` check and switch censoring off: never sample with one
+    ("population_cap", float("nan")), ("population_cap", 2.5), ("population_cap", float("inf")),
+], ids=str)
+def test_config_takes_only_whole_numbers(field, value):
+    with pytest.raises(SpecValidationError, match=field):
+        McConfig(**{field: value})
+
+
+def test_config_takes_integral_floats_as_ints():
+    cfg = McConfig(replicates=10.0, population_cap=1e5, seed=np.int64(3))
+    assert (cfg.replicates, cfg.population_cap, cfg.seed) == (10, 100_000, 3)
+    assert all(type(v) is int for v in (cfg.replicates, cfg.population_cap, cfg.seed))
+
+
 def test_supercritical_censoring_matches_survival(m1_spec):
     # at t = 1.5 the extinction probability solves xi = exp(1.5 (xi - 1))
     xi = float(solve_fixed_point(m1_spec, 1.5, [0.0]).g[0])
@@ -202,6 +219,70 @@ def test_stream_digest_pinned(key, request):
         assert digest == STREAM_DIGESTS[key], f"threads={threads}"
 
 
+def _simulate_block(spec, t, root, cap, rng, counts, censored):
+    """Fill one block of replicates into zeroed counts (size x m) and censored (size).
+
+    `live` holds the indices of the rows still growing, in block order, and
+    `z` their current generation.  A row leaves when it has no children or
+    its total passes the cap (censored).
+    """
+    size, m = counts.shape
+    rate = t * spec.A * spec.p[None, :]  # children means per parent: rate[k, l]
+    if root == branching_mc.RANDOM_ROOT:
+        roots = rng.choice(m, size=size, p=spec.p)
+    else:
+        roots = np.full(size, int(root))
+    counts[np.arange(size), roots] = 1
+    live = np.arange(size)
+    z = counts.copy()
+    total = np.ones(size, dtype=np.int64)  # progeny so far of each live row
+    while live.size:
+        children = rng.poisson(z @ rate)
+        born = children.sum(axis=1)
+        counts[live] += children
+        total += born
+        over = total > cap
+        censored[live[over]] = True
+        keep = (born > 0) & ~over
+        live, z, total = live[keep], children[keep], total[keep]
+
+
+def per_block_streams(spec, t, root, config):
+    """The sampler one block at a time, each block alone on its (seed, b) stream."""
+    n = config.replicates
+    counts, censored = np.zeros((n, spec.m), dtype=np.int64), np.zeros(n, dtype=bool)
+    for b in range((n + BLOCK_SIZE - 1) // BLOCK_SIZE):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=[config.seed, b]))
+        rows = slice(b * BLOCK_SIZE, (b + 1) * BLOCK_SIZE)
+        _simulate_block(spec, t, root, config.population_cap, rng, counts[rows], censored[rows])
+    return counts, censored
+
+
+@pytest.mark.parametrize("cap", [100_000, 1_000])
+@pytest.mark.parametrize("root", [branching_mc.RANDOM_ROOT, 1])
+@pytest.mark.parametrize("frac", [0.5, 0.95, 1.1])
+def test_lockstep_groups_reproduce_per_block_streams(frac, root, cap, m3_spec):
+    # 11 blocks, the last of 100 rows: groups of 4, 4 and 3 blocks, so every
+    # group boundary and a partial last block are crossed
+    assert branching_mc.GROUP_BLOCKS == 4
+    t = frac * gelation_time(m3_spec).T_c
+    cfg = McConfig(replicates=10 * BLOCK_SIZE + 100, population_cap=cap, seed=13)
+    want_counts, want_censored = per_block_streams(m3_spec, t, root, cfg)
+    for threads in (1, 2, 3):
+        counts, censored = sample_progeny_batch(m3_spec, t, root, cfg, threads=threads)
+        assert counts.tobytes() == want_counts.tobytes(), f"threads={threads}"
+        assert censored.tobytes() == want_censored.tobytes(), f"threads={threads}"
+
+
+def test_single_replicate_is_row_zero_of_block_zero(asym2_spec):
+    t = 0.95 * gelation_time(asym2_spec).T_c
+    for seed in range(20):
+        cfg = McConfig(replicates=1, population_cap=1_000, seed=seed)
+        counts, censored = per_block_streams(asym2_spec, t, branching_mc.RANDOM_ROOT, cfg)
+        s = sample_progeny(asym2_spec, t, None, cfg)
+        assert s.counts == tuple(counts[0].tolist()) and s.censored == bool(censored[0])
+
+
 def unique_rows_pmf(counts: np.ndarray, censored: np.ndarray,
                     n_max: int) -> dict[tuple[int, ...], tuple[float, float]]:
     """The pmf tabulated through np.unique(axis=0), as estimate_pmf once did."""
@@ -228,6 +309,12 @@ def _count_arrays():
     yield "one replicate", np.array([[2, 1]]), np.array([False]), 5
     yield "all censored", rng.poisson(2.0, size=(50, 2)), np.ones(50, dtype=bool), 5
     yield "none within n_max", rng.poisson(2.0, size=(50, 2)) + 4, np.zeros(50, dtype=bool), 5
+    # the largest kept entry at each edge of the 8- and 16-bit types the sort narrows to
+    for top in (255, 256, 65535, 65536):
+        for m in (1, 2):
+            counts = rng.choice([0, 1, 2, top - 1, top], size=(600, m))
+            yield f"m{m} max {top}", counts, rng.random(600) < 0.1, m * top
+    yield "n_max 10**20", rng.poisson(3.0, size=(2_000, 3)), rng.random(2_000) < 0.1, 10**20
 
 
 @pytest.mark.parametrize("case", list(_count_arrays()), ids=lambda c: c[0])

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import argparse
 import csv
 import json
 import math
+import os
 import shutil
 import subprocess
 import sys
@@ -11,6 +13,7 @@ import numpy as np
 import pytest
 
 from multicoag import borel_oracle, solve
+from multicoag import cli
 from multicoag.cli import main
 
 
@@ -234,6 +237,18 @@ def test_nonfinite_dt_exit_2(spec_files, tmp_path, capsys, dt):
     assert len(err) == 2 and all("dt must be finite" in line for line in err)
 
 
+def test_default_threads_follow_cpu_affinity(monkeypatch):
+    # the CPUs this process may run on, not every CPU of the host; no thread is started
+    monkeypatch.delenv("COAG_THREADS", raising=False)
+    args = argparse.Namespace(threads=None)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    assert cli._threads(args) == 3
+    monkeypatch.delattr(os, "sched_getaffinity")  # platforms without an affinity mask
+    assert cli._threads(args) == 64
+    assert cli._threads(argparse.Namespace(threads=2)) == 2
+
+
 def test_threads_env_not_an_integer_exit_2(spec_files, tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("COAG_THREADS", "abc")
     out = tmp_path / "w.csv"
@@ -267,10 +282,14 @@ M1_MODEL = '{"m": 1, "A": [[1.0]], "p": [1.0]}'
     (M1_MODEL, ["compare", "--t", "0", "--nmax", "5"], False),
     (M1_MODEL, ["localize", "--t", "0"], False),
     (M1_MODEL, ["localize", "--t", "-2", "--rate-check", "1.0", "--rate-out", "OUT"], False),
+    # SeedSequence takes no negative seed; exit 1 would read as compare's FAIL
+    (M1_MODEL, ["solve", "--t", "0.5", "--nmax", "5", "--method", "mc", "--replicates", "10",
+                "--seed", "-1", "--out", "OUT"], False),
+    (M1_MODEL, ["compare", "--t", "0.5", "--nmax", "5", "--seed", "-1"], False),
 ], ids=["non_object_json", "malformed_json", "m_not_an_integer", "m_fractional", "m_boolean",
         "rate_check_not_numbers", "n_list_not_numbers", "rate_out_without_rate_check", "nmax_0",
         "t_nan", "dt_inf", "ode_t_0", "analytic_t_negative", "mc_t_negative", "compare_t_0",
-        "localize_t_0", "localize_t_negative"])
+        "localize_t_0", "localize_t_negative", "mc_seed_negative", "compare_seed_negative"])
 def test_input_faults_exit_2_with_one_line(tmp_path, capsys, model, args, model_fault):
     # exit 1 is the compare verdict FAIL; only model-file faults read as a model error
     spec = tmp_path / "model.json"
