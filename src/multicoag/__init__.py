@@ -26,7 +26,6 @@ from .model import (
     SizeDistribution,
     ValidationReport,
     as_composition,
-    borel_oracle,
     composition_size,
     compositions_up_to,
     kernel,
@@ -41,7 +40,6 @@ from .pgf import (
     GelationReport,
     gelation_time,
     offspring_pgf,
-    pde_residual,
     solve_fixed_point,
     spectral_value,
 )
@@ -49,7 +47,6 @@ from .analytic import (
     ProgenyValue,
     progeny_pmf,
     progeny_pmf_detail,
-    series_oracle,
     solve,
     solve_detail,
     solve_log,
@@ -141,3 +138,14 @@ __all__ = [
     "minimize_gamma",
     "sigma",
 ]
+
+
+_ORACLES = ("borel_oracle", "pde_residual", "series_oracle")
+
+
+def __getattr__(name: str):
+    """Load multicoag.oracles, which the runtime never calls, on first use of an oracle."""
+    if name in _ORACLES:
+        from . import oracles
+        return getattr(oracles, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

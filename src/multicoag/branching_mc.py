@@ -61,6 +61,7 @@ class McConfig:
             raise SpecValidationError("population_cap must be >= 1")
         if self.seed < 0:
             raise SpecValidationError(f"seed must be >= 0, got {self.seed}")
+        object.__setattr__(self, "root", _root_index(self.root))
 
 
 @dataclass(frozen=True)
@@ -90,12 +91,18 @@ def _require_time(t: float) -> None:
         raise SpecValidationError(f"t must be finite and >= 0, got {t!r}")
 
 
-def _resolve_root(spec: ModelSpec, root: int | str | None, config: McConfig) -> int | str:
-    r = config.root if root is None else root
-    if r == RANDOM_ROOT:
+def _root_index(root) -> int | str:
+    """RANDOM_ROOT, or the root as an int when it is a non-boolean integer >= 0."""
+    if isinstance(root, str) and root == RANDOM_ROOT:
         return RANDOM_ROOT
-    r = int(r)
-    if not 0 <= r < spec.m:
+    if isinstance(root, bool) or not isinstance(root, (int, np.integer)) or root < 0:
+        raise SpecValidationError(f"root must be {RANDOM_ROOT!r} or a type index >= 0, got {root!r}")
+    return int(root)
+
+
+def _resolve_root(spec: ModelSpec, root: int | str | None, config: McConfig) -> int | str:
+    r = _root_index(config.root if root is None else root)
+    if r != RANDOM_ROOT and r >= spec.m:
         raise SpecValidationError(f"root type {r} out of range")
     return r
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import math
 import warnings
 from collections.abc import ItemsView, ValuesView
 from dataclasses import dataclass, field
@@ -20,7 +19,7 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .errors import CriticalityError, SpecValidationError
+from .errors import SpecValidationError
 
 # A composition is an immutable vector of per-component monomer counts.
 Composition = tuple[int, ...]
@@ -351,9 +350,6 @@ class SizeDistribution:
             entries={n: w for n, w in self.entries.items() if abs(w) >= floor},
         )
 
-    def to_csv(self, path: str) -> None:
-        write_distribution_csv(path, self.m, sorted_items(self.entries))
-
     @classmethod
     def from_csv(cls, path: str, t: float = 0.0) -> "SizeDistribution":
         with open(path, newline="", encoding="utf-8") as f:
@@ -366,20 +362,6 @@ class SizeDistribution:
             for row in reader:
                 entries[tuple(int(v) for v in row[:-1])] = float(row[-1])
         return cls(t=t, m=m, entries=entries)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "m": self.m,
-            "entries": [{"n": list(n), "w": w} for n, w in sorted_items(self.entries)],
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "SizeDistribution":
-        return cls(
-            t=float(d["t"]), m=int(d["m"]),
-            entries={tuple(e["n"]): float(e["w"]) for e in d["entries"]},
-        )
 
 
 def sorted_items(entries: dict[Composition, float]) -> list[tuple[Composition, float]]:
@@ -406,18 +388,3 @@ def mass_vector(dist: SizeDistribution) -> np.ndarray:
     comps = np.array(list(entries), dtype=np.int64).reshape(len(entries), dist.m)
     w = np.fromiter(entries.values(), dtype=float, count=len(entries))
     return np.cumsum(comps * w[:, None], axis=0)[-1]  # cumsum adds sequentially, unlike sum
-
-
-def borel_oracle(t: float, n: int) -> float:
-    """Closed-form single-component solution w_n(t) = n^(n-2) t^(n-1) e^(-nt) / n!.
-
-    Valid for 0 < t < 1 (the single-component critical time); evaluated in
-    the log domain so large n does not overflow.
-    """
-    if not 0.0 < t < 1.0:
-        raise CriticalityError(f"closed form requires 0 < t < 1, got t={t!r}")
-    n = int(n)
-    if n < 1:
-        raise SpecValidationError("n must be >= 1")
-    return math.exp((n - 2) * math.log(n) + (n - 1) * math.log(t) - n * t - math.lgamma(n + 1))
-

@@ -19,6 +19,7 @@ from .errors import ConvergenceError, CriticalityError, SpecValidationError
 from .model import ModelSpec, _support_blocks
 
 _S_SLACK = 1e-12  # tolerated excursion of PGF arguments outside [0, 1]
+FIXED_POINT_MAX_ITER = 10**6
 
 
 def offspring_pgf(spec: ModelSpec, t: float, k: int, s) -> float:
@@ -42,65 +43,31 @@ class FixedPointResult:
     converged: bool
 
 
-def solve_fixed_point(spec: ModelSpec, t: float, x, tol: float = 1e-13,
-                      max_iter: int = 10**6, newton: bool = False) -> FixedPointResult:
+def solve_fixed_point(spec: ModelSpec, t: float, x, tol: float = 1e-13) -> FixedPointResult:
     """Minimal solution of g = exp(-x) * G_X(g) by monotone iteration from 0.
 
     Parameters
     ----------
     x : nonnegative dual variable, one entry per component.
     tol : sup-norm change between successive iterates at which to stop.
-    newton : polish with damped Newton once plain iteration is close; the
-        plain iterates bracket the minimal solution from below, so Newton
-        is only engaged inside its basin.
     """
     if t < 0.0:
         raise SpecValidationError("t must be >= 0")
-    if int(max_iter) < 1:
-        raise SpecValidationError("max_iter must be >= 1")
     x = np.asarray(x, dtype=float)
     if x.shape != (spec.m,) or np.any(x < 0.0) or not np.all(np.isfinite(x)):
         raise SpecValidationError("x must be finite and >= 0 componentwise")
 
     R = spec.A * spec.p[None, :]  # R_kl = A_kl p_l, Poisson offspring means / t
     ex = np.exp(-x)
-
-    def phi(g: np.ndarray) -> np.ndarray:
-        return ex * np.exp(t * (R @ (g - 1.0)))
-
     g = np.zeros(spec.m)
-    for it in range(1, int(max_iter) + 1):
-        g_new = phi(g)
+    for it in range(1, FIXED_POINT_MAX_ITER + 1):
+        g_new = ex * np.exp(t * (R @ (g - 1.0)))
         res = float(np.max(np.abs(g_new - g)))
         g = g_new
         if res <= tol:
-            if newton:
-                g, res = _newton_polish(phi, R, t, g, tol)
             return FixedPointResult(g=g, iterations=it, residual=res, converged=True)
-        if newton and res < 1e-3 and it > 10:
-            g_try, res_try = _newton_polish(phi, R, t, g, tol)
-            if res_try <= tol:
-                return FixedPointResult(g=g_try, iterations=it, residual=res_try, converged=True)
-    raise ConvergenceError(f"fixed point not converged after {max_iter} iterations, residual {res:.3e}")
-
-
-def _newton_polish(phi, R: np.ndarray, t: float, g: np.ndarray, tol: float):
-    """Few Newton steps on g - phi(g) = 0; falls back silently if a step leaves [0,1]."""
-    for _ in range(40):
-        f = phi(g)
-        res = float(np.max(np.abs(f - g)))
-        if res <= tol * 1e-2:
-            break
-        jac = t * f[:, None] * R  # d phi_k / d g_l
-        try:
-            step = np.linalg.solve(np.eye(len(g)) - jac, f - g)
-        except np.linalg.LinAlgError:
-            break
-        g_new = g + step
-        if np.any(g_new < 0.0) or np.any(g_new > 1.0):
-            break
-        g = g_new
-    return g, float(np.max(np.abs(phi(g) - g)))
+    raise ConvergenceError(
+        f"fixed point not converged after {FIXED_POINT_MAX_ITER} iterations, residual {res:.3e}")
 
 
 @dataclass
@@ -179,36 +146,3 @@ def require_subcritical(spec: ModelSpec, t: float) -> float:
     if not 0.0 < t < tc:
         raise CriticalityError(f"need 0 < t < T_c = {tc!r} (the critical time), got t={t!r}")
     return tc
-
-
-def pde_residual(spec: ModelSpec, t: float, x, h: float) -> np.ndarray:
-    """Finite-difference residual of du/dt + (grad_x u) A (u - p) at (t, x).
-
-    u_i(t, x) = p_i g_i(t, x).  Second-order central differences with step h
-    (one-sided second-order at boundaries where t - h <= 0 or x_j - h < 0);
-    the residual should vanish like O(h^2) for t below the critical time.
-    """
-    if h <= 0.0:
-        raise SpecValidationError("h must be > 0")
-    x = np.asarray(x, dtype=float)
-    tc = require_subcritical(spec, t)
-    if t + 2.0 * h >= tc:
-        raise CriticalityError("stencil reaches past T_c; shrink h or t")
-
-    def u(tt: float, xx: np.ndarray) -> np.ndarray:
-        g = solve_fixed_point(spec, tt, xx, tol=1e-14).g
-        return spec.p * g
-
-    def d_scalar(f, v: float) -> np.ndarray:
-        if v - h > 0.0:
-            return (f(v + h) - f(v - h)) / (2.0 * h)
-        return (-3.0 * f(v) + 4.0 * f(v + h) - f(v + 2.0 * h)) / (2.0 * h)
-
-    du_dt = d_scalar(lambda tt: u(tt, x), t)
-    jac = np.empty((spec.m, spec.m))
-    for j in range(spec.m):
-        e = np.zeros(spec.m)
-        e[j] = 1.0
-        jac[:, j] = d_scalar(lambda v: u(t, x + (v - x[j]) * e), x[j])
-    u0 = u(t, x)
-    return du_dt + jac @ (spec.A @ (u0 - spec.p))

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -23,7 +26,8 @@ from multicoag import (
     solve_window,
     series_oracle,
 )
-from multicoag import analytic
+import multicoag
+from multicoag import analytic, oracles
 
 from conftest import random_subcritical_instance, tree_compositions
 
@@ -307,7 +311,7 @@ def test_series_oracle_rescaling_matches_direct_expansion():
     # series_oracle expands once per (spec, cap) and rescales to t; the
     # rescaled table must equal an expansion at t itself
     for spec, t, cap in _oracle_calls():
-        direct = analytic._expand(spec, t, cap)
+        direct = oracles._expand(spec, t, cap)
         coeffs = series_oracle(spec, t, cap)
         keys = [(i, n) for n in compositions_up_to(spec.m, cap) for i in range(spec.m)]
         assert list(coeffs) == keys
@@ -324,6 +328,31 @@ def test_root_index_independence_debug_assert(m3_spec):
                 for i in range(3) if n[i] > 0]
         assert max(vals) - min(vals) < 1e-14
         assert solve(m3_spec, t, n) == pytest.approx(vals[0], rel=1e-12)
+
+
+OPTIMIZED_PROBE = """
+import hashlib
+from multicoag import ModelSpec, gelation_time, solve_window
+print(__debug__)
+for m, A, p, n_max in {cases!r}:
+    spec = ModelSpec(m=m, A=A, p=p)
+    w = solve_window(spec, 0.7 * gelation_time(spec).T_c, n_max).entries.array
+    print(hashlib.sha256(w.tobytes()).hexdigest())
+"""
+
+
+def test_optimized_mode_solves_the_same_window(m3_spec, red3_spec, bip_spec):
+    # under python -O, _solve_rows evaluates one root per cell instead of every
+    # root; both batches must give the same bytes
+    cases = [(s.m, s.A.tolist(), s.p.tolist(), n_max)
+             for s, n_max in ((m3_spec, 15), (red3_spec, 15), (bip_spec, 30))]
+    src = os.path.dirname(os.path.dirname(multicoag.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = OPTIMIZED_PROBE.format(cases=cases)
+    runs = [subprocess.run([sys.executable, *flags, "-c", probe], capture_output=True, text=True,
+                           env=env, check=True).stdout.splitlines() for flags in (["-O"], [])]
+    assert [run[0] for run in runs] == ["False", "True"]
+    assert runs[0][1:] == runs[1][1:]
 
 
 def test_solve_detail_flags(m1_spec):

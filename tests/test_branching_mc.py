@@ -62,6 +62,32 @@ def test_invalid_root_rejected(bip_spec):
         sample_progeny(bip_spec, -0.5, 0, McConfig(replicates=1))
 
 
+@pytest.mark.parametrize("root", [1.5, True, "foo", -1, "m"], ids=str)
+def test_root_must_be_random_or_a_type_index(two_type_spec, root):
+    # a float or bool root once ran as type int(root); "m" is the first index past the types
+    root = two_type_spec.m if root == "m" else root
+    cfg = McConfig(replicates=1)
+    for call in (lambda: sample_progeny(two_type_spec, 0.3, root, cfg),
+                 lambda: sample_progeny_batch(two_type_spec, 0.3, root, cfg),
+                 lambda: estimate_pmf(two_type_spec, 0.3, root, cfg, n_max=5)):
+        with pytest.raises(SpecValidationError, match="root"):
+            call()
+    if root != two_type_spec.m:  # the type count is known only once a spec is given
+        with pytest.raises(SpecValidationError, match="root"):
+            McConfig(root=root)
+    else:
+        with pytest.raises(SpecValidationError, match="root"):
+            sample_progeny(two_type_spec, 0.3, None, McConfig(replicates=1, root=root))
+
+
+@pytest.mark.parametrize("root", [0, "random"], ids=str)
+def test_valid_roots_still_sample(two_type_spec, root):
+    cfg = McConfig(replicates=1, root=root)
+    assert cfg.root == root
+    assert sum(sample_progeny(two_type_spec, 0.3, None, cfg).counts) >= 1
+    assert sum(sample_progeny(two_type_spec, 0.3, root, McConfig(replicates=1)).counts) >= 1
+
+
 def test_config_validation():
     with pytest.raises(SpecValidationError):
         McConfig(replicates=0)
