@@ -26,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalBreakdownError, SpecValidationError
-from .model import ModelSpec, SizeDistribution, WindowMasses, _window_array, as_composition
+from .model import (ModelSpec, SizeDistribution, WindowMasses, _window_array, _window_size,
+                    as_composition)
 from . import pgf
 
 BREAKDOWN_FLOOR = -1e-10         # det(I - B) below this on a reachable cell signals breakdown
@@ -183,5 +184,6 @@ def solve_log(spec: ModelSpec, t: float, n) -> float:
 
 def solve_window(spec: ModelSpec, t: float, n_max: int) -> SizeDistribution:
     """Evaluate w_n(t) for every composition with 1 <= |n| <= n_max, in one batch."""
+    n_max = _window_size(n_max)
     log_w, _ = _solve_rows(spec, t, _window_array(spec.m, n_max))
     return SizeDistribution(t=t, m=spec.m, entries=WindowMasses(spec.m, n_max, np.exp(log_w)))

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SpecValidationError
-from .model import Composition, ModelSpec
+from .model import Composition, ModelSpec, _whole_number, _window_size
 
 BLOCK_SIZE = 4096
 GROUP_BLOCKS = 4  # blocks advanced in lockstep by one call of _simulate_blocks
@@ -47,14 +47,7 @@ class McConfig:
 
     def __post_init__(self) -> None:
         for name in ("replicates", "population_cap", "seed"):
-            value = getattr(self, name)
-            try:
-                whole = int(value)
-            except (TypeError, ValueError, OverflowError):  # a string, None, nan or inf
-                whole = None
-            if isinstance(value, (bool, np.bool_)) or whole is None or whole != value:
-                raise SpecValidationError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, whole)  # 1e5 is taken as 100000
+            object.__setattr__(self, name, _whole_number(name, getattr(self, name)))
         if self.replicates < 1:
             raise SpecValidationError("replicates must be >= 1")
         if self.population_cap < 1:
@@ -215,8 +208,7 @@ def estimate_pmf(spec: ModelSpec, t: float, root: int | str | None, config: McCo
     censoring rate (at a generous cap the censored fraction estimates the
     survival probability past the critical time).
     """
-    if n_max < 1:
-        raise SpecValidationError("n_max must be >= 1")
+    n_max = _window_size(n_max)
     counts, censored = sample_progeny_batch(spec, t, root, config, threads=threads)
     n_unc = int(np.count_nonzero(~censored))
     sizes = sum(counts.T)  # adding the m columns is several times faster than sum(axis=1)

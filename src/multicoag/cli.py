@@ -181,7 +181,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
         write_distribution_csv(args.out, spec.m, snap.dist.entries.items())
         mv = snap.mass
         summary.update(mass_vector=mv.tolist(), deficit=snap.deficit, flux_out=snap.flux_out,
-                       clipped_cells=snap.clipped, dt=args.dt, form=args.form)
+                       clipped_cells=snap.clipped, mask_rebuilds=snap.mask_rebuilds,
+                       dt=args.dt, form=args.form)
     else:  # mc
         seed = args.seed
         cfg = branching_mc.McConfig(replicates=args.replicates, population_cap=args.cap,

@@ -48,12 +48,36 @@ def composition_size(n: Iterable[int]) -> int:
     return int(sum(n))
 
 
-@lru_cache(maxsize=32)
+def _whole_number(name: str, value) -> int:
+    """value as an int when it is an int, a numpy integer or an integral float
+    (1e5 is taken as 100000); SpecValidationError for anything else."""
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError):  # a string, None, nan or inf
+        whole = None
+    if isinstance(value, (bool, np.bool_)) or whole is None or whole != value:
+        raise SpecValidationError(f"{name} must be an integer, got {value!r}")
+    return whole
+
+
+def _window_size(n_max) -> int:
+    """The one check of a window size, for every entry point that takes n_max."""
+    whole = _whole_number("n_max", n_max)
+    if whole < 1:
+        raise SpecValidationError(f"n_max must be >= 1, got {n_max!r}")
+    return whole
+
+
 def compositions_up_to(m: int, n_max: int) -> tuple[Composition, ...]:
     """All compositions with 1 <= |n| <= n_max, in graded lexicographic order."""
-    if m < 1 or n_max < 1:
-        raise SpecValidationError("need m >= 1 and n_max >= 1")
+    m = _whole_number("m", m)  # checked before the cache, where True would find 1
+    if m < 1:
+        raise SpecValidationError("need m >= 1")
+    return _compositions(m, _window_size(n_max))
 
+
+@lru_cache(maxsize=32)
+def _compositions(m: int, n_max: int) -> tuple[Composition, ...]:
     def parts(total: int, k: int) -> Iterator[Composition]:
         if k == 1:
             yield (total,)
@@ -81,14 +105,12 @@ class ModelSpec:
     renormalized: bool = field(init=False, default=False)
 
     def __post_init__(self) -> None:
+        m = _whole_number("m", self.m)
         try:
             A = np.array(self.A, dtype=float)
             p = np.array(self.p, dtype=float)
-            m = int(self.m)
         except (TypeError, ValueError, OverflowError) as e:
-            raise SpecValidationError(f"m must be an integer and A, p numeric ({e})") from None
-        if isinstance(self.m, (bool, np.bool_)) or m != self.m:
-            raise SpecValidationError(f"m must be an integer, got {self.m!r}")
+            raise SpecValidationError(f"A and p must be numeric ({e})") from None
         if m < 1:
             raise SpecValidationError("m must be >= 1")
         if A.shape != (m, m):

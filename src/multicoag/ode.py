@@ -7,22 +7,26 @@ conservation checks can attribute losses.  Because the kernel is bilinear,
 the gain is one convolution: with A = V diag(lam) V^T it equals
 0.5 * sum_r lam_r (u_r * u_r)(n), where u_r(n) = (n . v_r) w_n.
 
-The convolution is one FFT per window, in graded coordinates
-(n_1, ..., n_{m-1}, |n|), which add like n does.  The size axis |n| has
-circular length L >= 2 N_max and every other axis length P >= N_max + 1
-(each the next 7-smooth length).  No pair aliases onto a window cell: a sum
-that wraps on the size axis has |k| + |l| = |n| + L > 2 N_max, and a pair
-that lands on the cell n has k_i + l_i <= |n| <= N_max < P on every other
-axis.  So only the size axis is padded; for m = 3 at N_max = 20 the grid is
-21 x 21 x 40 points against the (2 N_max)^3 of a plain box.
+The convolution is one two-dimensional FFT per window.  A cell n sits at
+(a . n' mod Q, |n|), with n' = (n_1, ..., n_{m-1}): both coordinates add
+like n does.  The size axis |n| has circular length L >= 2 N_max, and
+(Q, a) is the smallest 7-smooth Q and a multiplier a = (1, c, c^2, ...)
+mod Q for which n' -> a . n' mod Q is one-to-one on the simplex
+{n' >= 0, |n'| <= N_max}.  No pair aliases onto a window cell: a sum that
+wraps on the size axis has |k| + |l| = |n| + L > 2 N_max, and a pair with
+|k| + |l| = |n| has k' + l' and n' both in the simplex, where the map is
+one-to-one.  For m <= 2 the map is the plain axis; for m = 3 at
+N_max = 20 the grid is 350 x 40 points, against 21 x 21 x 40 with one axis
+per coordinate and the (2 N_max)^3 of a plain box.
 
 The FFT leaves rounding noise of about 1e-16 times the largest term in
 every cell, so cells where the pair sum is exactly zero are masked: a second
 convolution, of the support indicators against the positivity pattern of
-A, counts the nonzero terms of each cell, and is recomputed only when the
-support changes.  The loss term uses the frozen initial mass vector p
-(reduced form) or the instantaneous windowed mass vector (full form); both
-are exact matrix-vector products because the kernel is bilinear.
+A, counts the nonzero terms of each cell (exactly, as nothing aliases), and
+is recomputed only when the support changes.  The loss term uses the frozen
+initial mass vector p (reduced form) or the instantaneous windowed mass
+vector (full form); both are exact matrix-vector products because the
+kernel is bilinear.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ from .model import (
     SizeDistribution,
     WindowMasses,
     _window_array,
+    _window_size,
     compositions_up_to,
     scatter_window,
 )
@@ -59,9 +64,7 @@ class TruncationWindow:
     n_max: int
 
     def __post_init__(self) -> None:
-        if int(self.n_max) < 1:
-            raise SpecValidationError("n_max must be >= 1")
-        object.__setattr__(self, "n_max", int(self.n_max))
+        object.__setattr__(self, "n_max", _window_size(self.n_max))
 
     def states(self, m: int) -> tuple[Composition, ...]:
         return compositions_up_to(m, self.n_max)
@@ -92,6 +95,7 @@ class OdeSnapshot:
     flux_out: float        # accumulated mass that left through the window boundary
     deficit: float         # |m(0)| - |m(t)| of the truncated system
     clipped: int           # distinct cells clipped from FFT noise to 0 so far
+    mask_rebuilds: int     # gain_zeros recomputations along the trajectory so far
 
 
 def _fft_length(n: int) -> int:
@@ -113,45 +117,83 @@ def _quadratic_form(M: np.ndarray, coords: np.ndarray) -> tuple[np.ndarray, np.n
     return lam[keep], (coords @ V[:, keep]).T
 
 
+@lru_cache(maxsize=None)
+def _modular_axis(m: int, n_max: int) -> tuple[int, tuple[int, ...]]:
+    """(Q, a) such that n' -> a . n' mod Q is one-to-one on the simplex
+    T = {n' >= 0 in Z^(m-1), |n'| <= n_max}.
+
+    Q is the smallest 7-smooth length for which some a = (1, c, c^2, ...) mod Q
+    works, and c the first such in 0, 1, ..., Q - 1.  The scan starts at the
+    largest of two lower bounds that every one-to-one map obeys: |T|, and
+    vol(T - T) / 2^(m-1) = C(2d, d) n_max^d / (d! 2^d) with d = m - 1, since
+    a translate of (T - T) / 2 with at least that many lattice points has all
+    its differences in T - T.  Candidates are checked in chunks that keep the
+    sorted keys near 256 KiB.  For m <= 2 this is the plain axis: Q = 1 or
+    _fft_length(n_max + 1), a = () or (1,).
+    """
+    states = _window_array(m, n_max)
+    simplex = states[states.sum(axis=1) == n_max, :-1]  # n' of the cells with |n| = n_max
+    d = m - 1
+    q = max(len(simplex), -(-math.comb(2 * d, d) * n_max**d // (math.factorial(d) * 2**d)))
+    chunk = max(1, 2**15 // len(simplex))
+    while True:
+        q = _fft_length(q)
+        for first in range(0, q, chunk):
+            c = np.arange(first, min(first + chunk, q))
+            a = np.ones((len(c), d), dtype=np.int64)
+            for j in range(1, d):
+                a[:, j] = a[:, j - 1] * c % q
+            keys = np.sort(simplex @ a.T % q, axis=0)
+            one_to_one = np.flatnonzero(np.all(keys[1:] != keys[:-1], axis=0))
+            if len(one_to_one):
+                return q, tuple(int(v) for v in a[one_to_one[0]])
+        q += 1
+
+
 class _Convolution:
     """sum_r lam_r (u_r * u_r) on one window, for u of one rank, by one FFT.
 
-    The grid is in graded coordinates (n_1, ..., n_{m-1}, |n|): the size axis
-    is the contiguous real-FFT axis, of circular length _fft_length(2 n_max),
-    and every other axis has length _fft_length(n_max + 1).  The buffers, the
-    views the inverse transforms work on and both cell indices are built here
-    once, so a call only scatters, transforms in place and multiplies.  Not
-    safe for concurrent calls: the owner serializes them.
+    The grid is (rank, Q, L): a cell n sits at (a . n' mod Q, |n|), with
+    n' = (n_1, ..., n_{m-1}) and (Q, a) from _modular_axis, and the size axis
+    is the contiguous real-FFT axis, of circular length L = _fft_length(2 n_max).
+    Both coordinates add like n does, so a pair (k, l) lands on the point of
+    k + l.  No pair aliases onto a window cell n: a pair with n_max < |k| + |l|
+    <= 2 n_max <= L lands on a size that is 0 or above n_max, and a pair with
+    |k| + |l| = |n| has k' + l' and n' both in the simplex |n'| <= n_max, where
+    the map is one-to-one, so it lands on n only if k + l = n.  The same holds
+    for the support count behind gain_zeros.  Buffers and the cell index are
+    built here once, so a call only scatters, transforms in place and
+    multiplies.  Not safe for concurrent calls: the owner serializes them.
     """
 
     def __init__(self, m: int, n_max: int, rank: int):
         states = _window_array(m, n_max)
-        graded = np.column_stack([states[:, :-1], states.sum(axis=1)]).T
-        side, self.size = n_max + 1, _fft_length(2 * n_max)
-        self.grid = np.zeros((rank,) + (_fft_length(side),) * (m - 1) + (self.size,))
-        self.cells = self.grid.reshape(rank, -1)
-        self.scatter = np.ravel_multi_index(graded, self.grid.shape[1:])
-        self.spectrum = np.empty(self.grid.shape[:-1] + (self.size // 2 + 1,), complex)
-        self.lam_shape = (rank,) + (1,) * m
+        q, a = _modular_axis(m, n_max)
+        self.size = _fft_length(2 * n_max)
+        key = states[:, :-1] @ np.array(a, dtype=np.int64) % q
+        self.index = key * self.size + states.sum(axis=1)  # flat (key, |n|) on a (q, size) grid
+        self.grid = np.zeros((rank, q, self.size))
+        self.flat = self.grid.reshape(-1)
+        # every rank's cells, flat: one 1-D scatter is faster than a 2-D one
+        self.scatter = (np.arange(rank)[:, None] * self.grid[0].size + self.index).ravel()
+        self.spectrum = np.empty((rank, q, self.size // 2 + 1), complex)
         self.total = np.empty(self.spectrum.shape[1:], complex)
-        # the sum cut to the cells n_i <= n_max on the axes inverted before `axis`
-        self.inverse = [self.total[(slice(0, side),) * axis] for axis in range(m)]
-        self.out = np.empty(self.inverse[-1].shape[:-1] + (self.size,))
-        self.gather = np.ravel_multi_index(graded, self.out.shape)
+        self.out = np.empty((q, self.size))
 
     def __call__(self, lam: np.ndarray, u: np.ndarray) -> np.ndarray:
         """The sum on the window cells, for u of shape (rank, cells)."""
-        self.cells[:, self.scatter] = u
+        self.flat[self.scatter] = u.reshape(-1)
+        modular = len(self.total) > 1  # a length-1 transform (m = 1) is the identity
         x = np.fft.rfft(self.grid, n=self.size, axis=-1, out=self.spectrum)
-        for axis in range(1, x.ndim - 1):
-            np.fft.fft(x, axis=axis, out=x)
+        if modular:
+            np.fft.fft(x, axis=1, out=x)
         x *= x
-        x *= lam.reshape(self.lam_shape)
+        x *= lam[:, None, None]
         np.sum(x, axis=0, out=self.total)
-        for axis, g in enumerate(self.inverse[:-1]):
-            np.fft.ifft(g, axis=axis, out=g)
-        np.fft.irfft(self.inverse[-1], n=self.size, axis=-1, out=self.out)
-        return self.out.reshape(-1)[self.gather]
+        if modular:
+            np.fft.ifft(self.total, axis=0, out=self.total)
+        np.fft.irfft(self.total, n=self.size, axis=-1, out=self.out)
+        return self.out.reshape(-1)[self.index]
 
 
 class _WindowOperator:
@@ -223,27 +265,30 @@ def derivative(spec: ModelSpec, dist: SizeDistribution, window: TruncationWindow
     return WindowMasses(spec.m, window.n_max, dw)
 
 
-def _trajectory_rhs(op: _WindowOperator):
+class _TrajectoryRhs:
     """Right-hand side along one trajectory, with the zero mask of the gain kept
     for the union of the supports seen so far.
 
     Exact values only grow a support along a trajectory; the FFT noise can clip
     a cell whose exact value lies below it, and keeping that cell in the union
     spares a new mask on every step.  Cells outside the union of reachable
-    compositions stay exactly zero.
+    compositions stay exactly zero.  `rebuilds` counts the masks made so far,
+    one gain_zeros call each time the union grows.
     """
-    seen = np.zeros(len(op.comp), dtype=bool)
-    zeros = np.ones(len(op.comp), dtype=bool)
 
-    def rhs(w: np.ndarray) -> tuple[np.ndarray, float]:
-        nonlocal zeros
+    def __init__(self, op: _WindowOperator):
+        self.op = op
+        self.seen = np.zeros(len(op.comp), dtype=bool)
+        self.zeros = np.ones(len(op.comp), dtype=bool)
+        self.rebuilds = 0
+
+    def __call__(self, w: np.ndarray) -> tuple[np.ndarray, float]:
         nonzero = w != 0.0
-        if (nonzero & ~seen).any():
-            seen[nonzero] = True
-            zeros = op.gain_zeros(seen)
-        return op.derivative(w, zeros)
-
-    return rhs
+        if (nonzero & ~self.seen).any():
+            self.seen[nonzero] = True
+            self.zeros = self.op.gain_zeros(self.seen)
+            self.rebuilds += 1
+        return self.op.derivative(w, self.zeros)
 
 
 def integrate(spec: ModelSpec, window: TruncationWindow, config: OdeConfig,
@@ -254,8 +299,9 @@ def integrate(spec: ModelSpec, window: TruncationWindow, config: OdeConfig,
     between consecutive record times is split into equal steps no longer
     than config.dt.  Returns one snapshot per record time (default: just
     t_end); each holds the whole window as a WindowMasses, with 0.0 where
-    the state is below MASS_FLOOR, and counts the cells that went negative
-    from FFT noise and were clipped to 0 at least once.
+    the state is below MASS_FLOOR, counts the cells that went negative
+    from FFT noise and were clipped to 0 at least once, and counts the
+    rebuilds of the gain's zero mask.
     """
     if not (math.isfinite(t_end) and t_end > 0.0):
         raise SpecValidationError(f"t_end must be finite and > 0, got {t_end!r}")
@@ -264,7 +310,7 @@ def integrate(spec: ModelSpec, window: TruncationWindow, config: OdeConfig,
         raise SpecValidationError("record_times must be sorted within [0, t_end]")
 
     op = _operator(spec, window.n_max, config.form)
-    rhs = _trajectory_rhs(op)
+    rhs = _TrajectoryRhs(op)
     w = scatter_window(spec.m, window.n_max, SizeDistribution.monodisperse(spec).entries)
     mass0 = float(spec.p.sum())
     clipped = np.zeros(len(w), dtype=bool)
@@ -277,7 +323,7 @@ def integrate(spec: ModelSpec, window: TruncationWindow, config: OdeConfig,
         dist = SizeDistribution(t=at, m=spec.m, entries=masses)
         mw = op.comp.T @ w
         return OdeSnapshot(dist=dist, mass=mw, flux_out=flux_acc, deficit=mass0 - float(mw.sum()),
-                           clipped=int(clipped.sum()))
+                           clipped=int(clipped.sum()), mask_rebuilds=rhs.rebuilds)
 
     for target in records:
         span = target - t

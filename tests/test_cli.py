@@ -143,6 +143,7 @@ def test_solve_ode_manifest_counts_clipped_cells(spec_files, tmp_path, capsys):
                  "--out", str(out)]) == 0
     summary = json.loads((tmp_path / "w.csv.manifest.json").read_text())["summary"]
     assert isinstance(summary["clipped_cells"], int) and 0 <= summary["clipped_cells"] <= 10
+    assert isinstance(summary["mask_rebuilds"], int) and 1 <= summary["mask_rebuilds"] <= 10
 
 
 def test_localize_stochastic(spec_files, capsys):

@@ -7,13 +7,16 @@ import numpy as np
 import pytest
 
 from multicoag import (
+    McConfig,
     ModelSpec,
     SizeDistribution,
     SpecValidationError,
+    TruncationWindow,
     as_composition,
     borel_oracle,
     composition_size,
     compositions_up_to,
+    estimate_pmf,
     kernel,
     mass_vector,
     solve_window,
@@ -56,6 +59,38 @@ def test_spec_takes_only_an_integral_m():
     for m in (1, 1.0, np.int64(1)):
         assert ModelSpec(m=m, A=[[1.0]], p=[1.0]).m == 1
 
+
+
+# every public entry point that takes a window size, reporting the size it used
+N_MAX_ENTRY_POINTS = {
+    "TruncationWindow": lambda spec, n: TruncationWindow(n).n_max,
+    "solve_window": lambda spec, n: solve_window(spec, 0.3, n).entries.n_max,
+    "estimate_pmf": lambda spec, n: estimate_pmf(spec, 0.3, None, McConfig(replicates=10),
+                                                 n_max=n).n_max,
+    "compositions_up_to": lambda spec, n: len(compositions_up_to(1, n)),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, True, np.True_, "x", "3", math.nan, math.inf, None,
+                                   0, -1, 0.0], ids=repr)
+@pytest.mark.parametrize("entry", sorted(N_MAX_ENTRY_POINTS))
+def test_n_max_takes_only_whole_numbers_from_one(m1_spec, entry, value):
+    with pytest.raises(SpecValidationError, match="n_max"):
+        N_MAX_ENTRY_POINTS[entry](m1_spec, value)
+
+
+def test_compositions_up_to_checks_its_arguments_before_the_cache():
+    compositions_up_to(1, 1)  # a cached (1, 1) must not answer for True, which equals 1
+    for m, n_max in ((1, True), (1, np.True_), (True, 1), (2.5, 2), ("2", 2), (0, 2)):
+        with pytest.raises(SpecValidationError):
+            compositions_up_to(m, n_max)
+
+
+@pytest.mark.parametrize("entry", sorted(N_MAX_ENTRY_POINTS))
+def test_n_max_takes_integral_floats_as_ints(m1_spec, entry):
+    for value in (3, 3.0, np.int64(3), np.float64(3.0)):
+        got = N_MAX_ENTRY_POINTS[entry](m1_spec, value)
+        assert got == 3 and type(got) is int
 
 def test_symmetrization_and_renormalization_flags():
     spec = ModelSpec(m=2, A=[[0.0, 2.0], [0.0, 0.0]], p=[0.5, 0.5])

@@ -23,8 +23,8 @@ from multicoag import (
     solve_window,
 )
 from multicoag import ode
-from multicoag.model import WindowMasses
-from multicoag.ode import FORMS
+from multicoag.model import WindowMasses, _window_array
+from multicoag.ode import FORMS, _fft_length
 
 from conftest import random_sparse_distribution
 
@@ -51,6 +51,51 @@ def pair_sum_derivative(spec, dist, window, form):
     return out, largest
 
 
+# Reference for ode._Convolution: the convolution before the modular axis, with
+# one circular axis per composition coordinate, kept verbatim.  The modular axis
+# must give the same sums: bit for bit for m <= 2, where its grid is this one,
+# and within the pair-sum bound for m >= 3.
+class GradedBoxConvolution:
+    """sum_r lam_r (u_r * u_r) on one window, for u of one rank, by one FFT.
+
+    The grid is in graded coordinates (n_1, ..., n_{m-1}, |n|): the size axis
+    is the contiguous real-FFT axis, of circular length _fft_length(2 n_max),
+    and every other axis has length _fft_length(n_max + 1).  The buffers, the
+    views the inverse transforms work on and both cell indices are built here
+    once, so a call only scatters, transforms in place and multiplies.  Not
+    safe for concurrent calls: the owner serializes them.
+    """
+
+    def __init__(self, m: int, n_max: int, rank: int):
+        states = _window_array(m, n_max)
+        graded = np.column_stack([states[:, :-1], states.sum(axis=1)]).T
+        side, self.size = n_max + 1, _fft_length(2 * n_max)
+        self.grid = np.zeros((rank,) + (_fft_length(side),) * (m - 1) + (self.size,))
+        self.cells = self.grid.reshape(rank, -1)
+        self.scatter = np.ravel_multi_index(graded, self.grid.shape[1:])
+        self.spectrum = np.empty(self.grid.shape[:-1] + (self.size // 2 + 1,), complex)
+        self.lam_shape = (rank,) + (1,) * m
+        self.total = np.empty(self.spectrum.shape[1:], complex)
+        # the sum cut to the cells n_i <= n_max on the axes inverted before `axis`
+        self.inverse = [self.total[(slice(0, side),) * axis] for axis in range(m)]
+        self.out = np.empty(self.inverse[-1].shape[:-1] + (self.size,))
+        self.gather = np.ravel_multi_index(graded, self.out.shape)
+
+    def __call__(self, lam: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """The sum on the window cells, for u of shape (rank, cells)."""
+        self.cells[:, self.scatter] = u
+        x = np.fft.rfft(self.grid, n=self.size, axis=-1, out=self.spectrum)
+        for axis in range(1, x.ndim - 1):
+            np.fft.fft(x, axis=axis, out=x)
+        x *= x
+        x *= lam.reshape(self.lam_shape)
+        np.sum(x, axis=0, out=self.total)
+        for axis, g in enumerate(self.inverse[:-1]):
+            np.fft.ifft(g, axis=axis, out=g)
+        np.fft.irfft(self.inverse[-1], n=self.size, axis=-1, out=self.out)
+        return self.out.reshape(-1)[self.gather]
+
+
 def test_derivative_examples_m1(m1_spec):
     dist = SizeDistribution.monodisperse(m1_spec)
     dw = derivative(m1_spec, dist, TruncationWindow(10), form="reduced")
@@ -67,12 +112,19 @@ def test_derivative_examples_bipartite(bip_spec):
     assert dw[(2, 0)] == 0.0  # like-type merging blocked by the kernel
 
 
+M5_SPEC = ModelSpec(m=5, A=[[1.0, 0.4, 0.0, 0.7, 0.2], [0.4, 0.9, 0.5, 0.0, 0.3],
+                             [0.0, 0.5, 0.6, 1.1, 0.0], [0.7, 0.0, 1.1, 0.2, 0.8],
+                             [0.2, 0.3, 0.0, 0.8, 1.0]],
+                    p=[0.3, 0.2, 0.2, 0.15, 0.15])
+
+
 def test_derivative_matches_pair_sum_oracle(m1_spec, bip_spec, asym2_spec, m3_spec, m4_spec):
     rng = np.random.default_rng(5)
     ulp = np.finfo(float).eps
-    # m3 at 10 pads its composition axes from 11 to 12; m4 at 4 has three of them
+    # m3 at 10 folds its 66 points (n_1, n_2) onto a modular axis of 96, where one
+    # axis per coordinate takes 12 x 12; m4 at 4 and m5 at 3 fold three and four
     for spec, n_max in ((m1_spec, 12), (bip_spec, 8), (asym2_spec, 8), (m3_spec, 5),
-                        (m3_spec, 10), (m4_spec, 4)):
+                        (m3_spec, 10), (m4_spec, 4), (M5_SPEC, 3)):
         window = TruncationWindow(n_max)
         for _ in range(20):
             dist = random_sparse_distribution(rng, spec.m, n_max)
@@ -81,6 +133,103 @@ def test_derivative_matches_pair_sum_oracle(m1_spec, bip_spec, asym2_spec, m3_sp
                 want, largest = pair_sum_derivative(spec, dist, window, form)
                 assert [n for n in want if got[n] == 0.0] == [n for n in want if want[n] == 0.0]
                 assert max(abs(got[n] - want[n]) for n in want) <= 16 * ulp * largest
+
+
+
+def is_7_smooth(n):
+    for f in (2, 3, 5, 7):
+        while n % f == 0:
+            n //= f
+    return n == 1
+
+
+@pytest.mark.parametrize("m, limit", [(1, 25), (2, 25), (3, 25), (4, 10), (5, 5)])
+def test_modular_axis_never_aliases(m, limit):
+    """Every window cell has its own grid point, and no other composition a pair
+    can form (2 <= |sigma| <= 2 n_max) lands on it."""
+    for n_max in range(1, limit + 1):
+        conv = ode._Convolution(m, n_max, 1)
+        q, a = ode._modular_axis(m, n_max)
+        size = _fft_length(2 * n_max)
+        assert conv.grid.shape == (1, q, size) and is_7_smooth(q) and len(a) == m - 1
+        if m <= 2:  # the plain axis, so the grid is the one-axis-per-coordinate grid
+            assert (q, a) == ((1, ()) if m == 1 else (_fft_length(n_max + 1), (1,)))
+
+        def index(states):
+            key = states[:, :-1] @ np.array(a, dtype=np.int64) % q
+            return key * size + states.sum(axis=1) % size
+
+        window = _window_array(m, n_max)
+        assert np.array_equal(conv.index, index(window))
+        assert len(np.unique(conv.index)) == len(window)
+        sigma = _window_array(m, 2 * n_max)
+        sigma = sigma[sigma.sum(axis=1) >= 2]
+        cell = np.full(q * size, -1)
+        cell[conv.index] = np.arange(len(window))
+        hit = cell[index(sigma)]
+        assert np.array_equal(window[hit[hit >= 0]], sigma[hit >= 0]), (m, n_max)
+
+
+def test_modular_axis_search_is_deterministic(monkeypatch):
+    cases = [(3, 20), (4, 10), (5, 4)]
+    first = [ode._modular_axis(m, n_max) for m, n_max in cases]
+    ode._modular_axis.cache_clear()
+
+    def no_rng(*args, **kwargs):
+        raise AssertionError("the search drew a random number")
+
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
+    legacy = np.random.get_state()[1].copy()
+    assert [ode._modular_axis(m, n_max) for m, n_max in cases] == first
+    ode._modular_axis.cache_clear()
+    assert [ode._modular_axis(m, n_max) for m, n_max in cases] == first
+    assert np.array_equal(np.random.get_state()[1], legacy)
+    assert first[0] == (350, (1, 134))  # 231 simplex points, against 21 x 21 per axis
+
+
+def test_modular_axis_matches_the_graded_box(m1_spec, bip_spec, asym2_spec, m3_spec, m4_spec):
+    """Bitwise for m <= 2, within the pair-sum bound for m >= 3, on both forms."""
+    rng = np.random.default_rng(23)
+    ulp = np.finfo(float).eps
+    cases = [(m1_spec, 12), (bip_spec, 8), (asym2_spec, 8), (m3_spec, 5), (m3_spec, 10),
+             (m4_spec, 4), (M5_SPEC, 3)]
+    inputs = [(spec, TruncationWindow(n_max), random_sparse_distribution(rng, spec.m, n_max),
+               form) for spec, n_max in cases for _ in range(5) for form in FORMS]
+
+    def derivatives():
+        ode._operator.cache_clear()
+        return [derivative(spec, dist, window, form).array for spec, window, dist, form in inputs]
+
+    got = derivatives()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ode, "_Convolution", GradedBoxConvolution)
+        want = derivatives()
+    ode._operator.cache_clear()
+    for (spec, window, dist, form), g, w in zip(inputs, got, want):
+        if spec.m <= 2:
+            assert g.tobytes() == w.tobytes()
+        else:
+            _, largest = pair_sum_derivative(spec, dist, window, form)
+            assert np.max(np.abs(g - w)) <= 16 * ulp * largest
+
+
+@pytest.mark.parametrize("name, n_max, form", [("m1_spec", 30, "reduced"), ("bip_spec", 20, "full"),
+                                               ("asym2_spec", 15, "reduced")])
+def test_modular_axis_snapshots_are_the_graded_box_ones(request, name, n_max, form):
+    spec = request.getfixturevalue(name)
+    cfg = OdeConfig(dt=1e-2, form=form, record_times=(0.2, 0.5))
+
+    def run():
+        ode._operator.cache_clear()
+        return [(s.dist.entries.array.tobytes(), s.mass.tobytes(), s.flux_out, s.clipped)
+                for s in integrate(spec, TruncationWindow(n_max), cfg, t_end=0.5)]
+
+    got = run()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ode, "_Convolution", GradedBoxConvolution)
+        want = run()
+    ode._operator.cache_clear()
+    assert got == want
 
 
 def largest_pair_term(spec, comp, w, loss):
@@ -98,7 +247,7 @@ def largest_pair_term(spec, comp, w, loss):
 
 
 @pytest.mark.parametrize("name, n_max", [("m1_spec", 60), ("bip_spec", 30), ("two_type_spec", 40),
-                                         ("m3_spec", 20), ("red3_spec", 15)])
+                                         ("m3_spec", 20), ("red3_spec", 15), ("m4_spec", 10)])
 def test_closed_form_solves_the_window_ode(request, name, n_max):
     """The exact w_n(t) makes the reduced right-hand side equal its time derivative.
 
@@ -259,3 +408,25 @@ def test_snapshots_count_the_clipped_cells(m1_spec, monkeypatch):
     assert [snap.clipped for snap in snaps] == [1, 2]
     assert snaps[0].dist.entries[(2,)] == 0.0
 
+
+def test_snapshots_count_the_mask_rebuilds(bip_spec, monkeypatch):
+    # every gain_zeros call along the trajectory rebuilds the mask for a grown support
+    supports = []
+    gain_zeros = ode._WindowOperator.gain_zeros
+
+    def counted(self, support):
+        supports.append(support.copy())
+        return gain_zeros(self, support)
+
+    monkeypatch.setattr(ode._WindowOperator, "gain_zeros", counted)
+    window, t_c = TruncationWindow(30), gelation_time(bip_spec).T_c
+    counts = []
+    for t_end in (0.1 * t_c, 0.5 * t_c):
+        supports.clear()
+        cfg = OdeConfig(dt=1e-2, record_times=(0.0, 0.1 * t_c, t_end))
+        snaps = integrate(bip_spec, window, cfg, t_end=t_end)
+        counts.append([snap.mask_rebuilds for snap in snaps])
+        assert counts[-1][-1] == len(supports)
+        assert all(np.all(a <= b) and np.any(a < b) for a, b in zip(supports, supports[1:]))
+    assert counts[0][0] == 0  # nothing is built before the first step
+    assert counts[1][1] == counts[0][-1] > 1
