@@ -30,7 +30,6 @@ from .model import (
     compositions_up_to,
     kernel,
     mass_vector,
-    sorted_items,
     validate,
     write_distribution_csv,
 )
@@ -39,14 +38,11 @@ from .pgf import (
     FixedPointResult,
     GelationReport,
     gelation_time,
-    offspring_pgf,
     solve_fixed_point,
-    spectral_value,
 )
 from .analytic import (
     ProgenyValue,
     progeny_pmf,
-    progeny_pmf_detail,
     solve,
     solve_detail,
     solve_log,
@@ -58,14 +54,11 @@ from .ode import (
     TruncationWindow,
     derivative,
     integrate,
-    mass_loss_curve,
 )
 from .branching_mc import (
     McConfig,
     McPmfEstimate,
-    ProgenySample,
     estimate_pmf,
-    sample_progeny,
     sample_progeny_batch,
 )
 from .localization import (
@@ -98,20 +91,16 @@ __all__ = [
     "compositions_up_to",
     "kernel",
     "mass_vector",
-    "sorted_items",
     "validate",
     "write_distribution_csv",
     "BlockCriticality",
     "FixedPointResult",
     "GelationReport",
     "gelation_time",
-    "offspring_pgf",
     "pde_residual",
     "solve_fixed_point",
-    "spectral_value",
     "ProgenyValue",
     "progeny_pmf",
-    "progeny_pmf_detail",
     "series_oracle",
     "solve",
     "solve_detail",
@@ -122,12 +111,9 @@ __all__ = [
     "TruncationWindow",
     "derivative",
     "integrate",
-    "mass_loss_curve",
     "McConfig",
     "McPmfEstimate",
-    "ProgenySample",
     "estimate_pmf",
-    "sample_progeny",
     "sample_progeny_batch",
     "LocalizationResult",
     "RateSequence",

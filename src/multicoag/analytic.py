@@ -133,13 +133,8 @@ def _solve_rows(spec: ModelSpec, t: float, comps: np.ndarray) -> tuple[np.ndarra
     return log_w, out_flags
 
 
-def _progeny_value(log_value: float, flag: bool) -> ProgenyValue:
-    return ProgenyValue(value=math.exp(log_value), log_value=float(log_value),
-                        precision_limited=bool(flag))
-
-
-def progeny_pmf_detail(spec: ModelSpec, t: float, i: int, n) -> ProgenyValue:
-    """P(T_i = n) with diagnostics; see progeny_pmf."""
+def progeny_pmf(spec: ModelSpec, t: float, i: int, n) -> float:
+    """Probability that the total progeny by type of a type-i root equals n."""
     pgf.require_subcritical(spec, t)
     if not 0 <= int(i) < spec.m:
         raise SpecValidationError(f"root type {i} out of range")
@@ -147,20 +142,16 @@ def progeny_pmf_detail(spec: ModelSpec, t: float, i: int, n) -> ProgenyValue:
     k = comp[0].copy()
     k[int(i)] -= 1
     if k.min() < 0 or np.any((k > 0) & (spec.p == 0.0)) or not _tree_shaped(spec, comp)[0]:
-        return _progeny_value(-math.inf, False)
-    log_p, flags = _log_progeny(spec, t, comp, np.array([int(i)]))
-    return _progeny_value(log_p[0], flags[0])
-
-
-def progeny_pmf(spec: ModelSpec, t: float, i: int, n) -> float:
-    """Probability that the total progeny by type of a type-i root equals n."""
-    return progeny_pmf_detail(spec, t, i, n).value
+        return 0.0
+    log_p, _ = _log_progeny(spec, t, comp, np.array([int(i)]))
+    return math.exp(log_p[0])
 
 
 def solve_detail(spec: ModelSpec, t: float, n) -> ProgenyValue:
     """w_n(t) with the precision flag attached."""
     log_w, flags = _solve_rows(spec, t, _one_row(spec, n))
-    return _progeny_value(log_w[0], flags[0])
+    return ProgenyValue(value=math.exp(log_w[0]), log_value=float(log_w[0]),
+                        precision_limited=bool(flags[0]))
 
 
 def solve(spec: ModelSpec, t: float, n) -> float:

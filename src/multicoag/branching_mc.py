@@ -24,14 +24,13 @@ lexicographic sort of the kept rows.
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SpecValidationError
-from .model import Composition, ModelSpec, _whole_number, _window_size
+from .model import Composition, ModelSpec, _time, _whole_number, _window_size
 
 BLOCK_SIZE = 4096
 GROUP_BLOCKS = 4  # blocks advanced in lockstep by one call of _simulate_blocks
@@ -57,14 +56,6 @@ class McConfig:
         object.__setattr__(self, "root", _root_index(self.root))
 
 
-@dataclass(frozen=True)
-class ProgenySample:
-    """Total progeny counts by type; censored samples are lower bounds."""
-
-    counts: Composition
-    censored: bool
-
-
 @dataclass
 class McPmfEstimate:
     """Empirical pmf over uncensored replicates, with binomial standard errors."""
@@ -77,11 +68,6 @@ class McPmfEstimate:
 
     def estimate(self, n: Composition) -> tuple[float, float]:
         return self.pmf.get(tuple(n), (0.0, 0.0))
-
-
-def _require_time(t: float) -> None:
-    if not (math.isfinite(t) and t >= 0.0):
-        raise SpecValidationError(f"t must be finite and >= 0, got {t!r}")
 
 
 def _root_index(root) -> int | str:
@@ -141,26 +127,17 @@ def _simulate_blocks(spec: ModelSpec, t: float, root: int | str, cap: int, seed:
         live, z, total = live[keep], kids[keep], total[keep]
 
 
-def sample_progeny(spec: ModelSpec, t: float, root: int | str | None = None,
-                   config: McConfig = McConfig(replicates=1)) -> ProgenySample:
-    """Draw one replicate (block 0 of config.seed)."""
-    _require_time(t)
-    r = _resolve_root(spec, root, config)
-    counts, censored = np.zeros((1, spec.m), dtype=np.int64), np.zeros(1, dtype=bool)
-    _simulate_blocks(spec, t, r, config.population_cap, config.seed, range(1), counts, censored)
-    return ProgenySample(counts=tuple(int(v) for v in counts[0]), censored=bool(censored[0]))
-
-
 def sample_progeny_batch(spec: ModelSpec, t: float, root: int | str | None,
                          config: McConfig, threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """All replicates as arrays (counts: R x m, censored: R).
+    """All replicates as arrays (counts: R x m, censored: R); censored rows are
+    lower bounds of the total progeny by type.
 
     Block b always uses the stream seeded by (seed, b), so the result is a
     pure function of (spec, t, root, config) whatever the thread count or
     the group width.  Groups of GROUP_BLOCKS blocks advance in lockstep and
     write straight into their rows of the result; threads take whole groups.
     """
-    _require_time(t)
+    t = _time("t", t)
     r = _resolve_root(spec, root, config)
     n = config.replicates
     counts = np.zeros((n, spec.m), dtype=np.int64)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import analytic, pgf
 from .errors import ConvergenceError, HypothesisError, SpecValidationError
-from .model import ModelSpec
+from .model import ModelSpec, _time, _whole_number
 
 BOUNDARY_TOL = 1e-14     # iterate this close to the boundary => boundary-minimum flag
 ARMIJO_C1 = 1e-4
@@ -51,8 +51,7 @@ def sigma(spec: ModelSpec, rho) -> np.ndarray:
 
 def gamma(spec: ModelSpec, t: float, rho) -> float:
     """Rate function value at direction rho (finite for t in (0, T_c])."""
-    if not t > 0.0 or not np.isfinite(t):
-        raise SpecValidationError("t must be positive and finite")
+    t = _time("t", t, positive=True)
     r = as_simplex_point(rho, spec.m, interior=False)
     s = sigma(spec, r)
     live = r > 0.0
@@ -65,8 +64,7 @@ def gamma(spec: ModelSpec, t: float, rho) -> float:
 
 def gamma_gradient(spec: ModelSpec, t: float, rho) -> np.ndarray:
     """Gradient d Gamma / d rho_j = ln(rho_j/(t sigma_j)) + 1 + sum_l (t - rho_l/sigma_l) A_jl p_l."""
-    if not t > 0.0 or not np.isfinite(t):
-        raise SpecValidationError("t must be positive and finite")
+    t = _time("t", t, positive=True)
     r = as_simplex_point(rho, spec.m)
     s = sigma(spec, r)
     if np.any(s <= 0.0):
@@ -173,7 +171,7 @@ def empirical_rate(spec: ModelSpec, t: float, rho, n_list) -> RateSequence:
         raise HypothesisError("rate evaluation requires p_i > 0 for every component")
     pgf.require_subcritical(spec, t)
     r = as_simplex_point(rho, spec.m)
-    n_list = [int(n) for n in n_list]
+    n_list = [_whole_number("n_list entry", n) for n in n_list]
     if not n_list or any(n < 1 for n in n_list):
         raise SpecValidationError("n_list must contain positive integers")
 

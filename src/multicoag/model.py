@@ -11,6 +11,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
+import numbers
 import warnings
 from collections.abc import ItemsView, ValuesView
 from dataclasses import dataclass, field
@@ -26,7 +28,7 @@ Composition = tuple[int, ...]
 
 P_SUM_EXACT_TOL = 1e-12   # |sum(p) - 1| below this: accepted verbatim
 P_SUM_RENORM_TOL = 1e-6   # below this: renormalized with a warning; above: rejected
-MASS_FLOOR = 1e-300       # entries below this are dropped when pruning, 0.0 in ODE snapshots
+MASS_FLOOR = 1e-300       # ODE snapshot entries below this read 0.0
 
 
 def as_composition(n: Iterable[int], m: int | None = None) -> Composition:
@@ -66,6 +68,24 @@ def _window_size(n_max) -> int:
     if whole < 1:
         raise SpecValidationError(f"n_max must be >= 1, got {n_max!r}")
     return whole
+
+
+def _real(name: str, value) -> float:
+    """value as a float when it is a real number other than a bool (numpy scalars
+    included); SpecValidationError for anything else, a string or None included."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+        raise SpecValidationError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
+def _time(name: str, value, positive: bool = False) -> float:
+    """The one check of a time or a time step, for every entry point that takes one:
+    a finite real number >= 0, or > 0 when positive."""
+    t = _real(name, value)
+    if not math.isfinite(t) or t < 0.0 or (positive and t == 0.0):
+        raise SpecValidationError(
+            f"{name} must be finite and {'> 0' if positive else '>= 0'}, got {value!r}")
+    return t
 
 
 def compositions_up_to(m: int, n_max: int) -> tuple[Composition, ...]:
@@ -188,17 +208,6 @@ class ValidationReport:
     irreducible: bool
     blocks: list[list[int]]
     messages: list[str]
-
-    def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "symmetrized": self.symmetrized,
-            "renormalized": self.renormalized,
-            "zero_p": self.zero_p,
-            "irreducible": self.irreducible,
-            "blocks": self.blocks,
-            "messages": self.messages,
-        }
 
 
 def validate(spec: ModelSpec) -> ValidationReport:
@@ -365,13 +374,6 @@ class SizeDistribution:
             entries[tuple(e)] = float(spec.p[i])
         return cls(t=0.0, m=spec.m, entries=entries)
 
-    def prune(self, floor: float = MASS_FLOOR) -> "SizeDistribution":
-        """Drop entries with |w| below the floor (default 1e-300)."""
-        return SizeDistribution(
-            t=self.t, m=self.m,
-            entries={n: w for n, w in self.entries.items() if abs(w) >= floor},
-        )
-
     @classmethod
     def from_csv(cls, path: str, t: float = 0.0) -> "SizeDistribution":
         with open(path, newline="", encoding="utf-8") as f:
@@ -384,11 +386,6 @@ class SizeDistribution:
             for row in reader:
                 entries[tuple(int(v) for v in row[:-1])] = float(row[-1])
         return cls(t=t, m=m, entries=entries)
-
-
-def sorted_items(entries: dict[Composition, float]) -> list[tuple[Composition, float]]:
-    """Deterministic graded-lexicographic ordering for serialization."""
-    return sorted(entries.items(), key=lambda kv: (composition_size(kv[0]), tuple(-c for c in kv[0])))
 
 
 def write_distribution_csv(path: str, m: int, rows: Iterable[tuple[Composition, float]],

@@ -1,6 +1,7 @@
 """Truncated ODE integration of the coagulation system on a finite window.
 
-The state lives on all compositions with 1 <= |n| <= N_max.  Gains come
+The state lives on all compositions with 1 <= |n| <= N_max, and integrate
+advances it by classical RK4 with a fixed step.  Gains come
 from the windowed convolution 0.5 * sum_{k+l=n} K(k,l) w_k w_l; merges that
 would leave the window are discarded but their mass flux is accumulated so
 conservation checks can attribute losses.  Because the kernel is bilinear,
@@ -10,8 +11,8 @@ the gain is one convolution: with A = V diag(lam) V^T it equals
 The convolution is one two-dimensional FFT per window.  A cell n sits at
 (a . n' mod Q, |n|), with n' = (n_1, ..., n_{m-1}): both coordinates add
 like n does.  The size axis |n| has circular length L >= 2 N_max, and
-(Q, a) is the smallest 7-smooth Q and a multiplier a = (1, c, c^2, ...)
-mod Q for which n' -> a . n' mod Q is one-to-one on the simplex
+(Q, a) is the smallest 7-smooth Q with a multiplier a = (1, c, c^2, ...)
+mod Q, c < 512, for which n' -> a . n' mod Q is one-to-one on the simplex
 {n' >= 0, |n'| <= N_max}.  No pair aliases onto a window cell: a sum that
 wraps on the size axis has |k| + |l| = |n| + L > 2 N_max, and a pair with
 |k| + |l| = |n| has k' + l' and n' both in the simplex, where the map is
@@ -41,20 +42,19 @@ import numpy as np
 from .errors import IntegrationError, SpecValidationError
 from .model import (
     MASS_FLOOR,
-    Composition,
     ModelSpec,
     SizeDistribution,
     WindowMasses,
+    _time,
     _window_array,
     _window_size,
-    compositions_up_to,
     scatter_window,
 )
 
 NEGATIVE_MASS_TOL = -1e-10  # entries in [tol, 0) are clipped; below it is an error
 
 FORMS = ("reduced", "full")
-METHODS = ("rk4", "euler")
+AXIS_MULTIPLIERS = 512  # _modular_axis tries c in 0, ..., 511 for each Q
 
 
 @dataclass(frozen=True)
@@ -66,22 +66,18 @@ class TruncationWindow:
     def __post_init__(self) -> None:
         object.__setattr__(self, "n_max", _window_size(self.n_max))
 
-    def states(self, m: int) -> tuple[Composition, ...]:
-        return compositions_up_to(m, self.n_max)
-
 
 @dataclass
 class OdeConfig:
+    """Classical RK4 with steps no longer than dt, on the reduced or full loss form,
+    recording a snapshot at each of record_times (default: t_end alone)."""
+
     dt: float = 1e-3
-    method: str = "rk4"
     form: str = "reduced"
     record_times: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.dt) and self.dt > 0.0):
-            raise SpecValidationError(f"dt must be finite and > 0, got {self.dt!r}")
-        if self.method not in METHODS:
-            raise SpecValidationError(f"method must be one of {METHODS}")
+        self.dt = _time("dt", self.dt, positive=True)
         if self.form not in FORMS:
             raise SpecValidationError(f"form must be one of {FORMS}")
 
@@ -123,11 +119,16 @@ def _modular_axis(m: int, n_max: int) -> tuple[int, tuple[int, ...]]:
     T = {n' >= 0 in Z^(m-1), |n'| <= n_max}.
 
     Q is the smallest 7-smooth length for which some a = (1, c, c^2, ...) mod Q
-    works, and c the first such in 0, 1, ..., Q - 1.  The scan starts at the
-    largest of two lower bounds that every one-to-one map obeys: |T|, and
-    vol(T - T) / 2^(m-1) = C(2d, d) n_max^d / (d! 2^d) with d = m - 1, since
-    a translate of (T - T) / 2 with at least that many lattice points has all
-    its differences in T - T.  Candidates are checked in chunks that keep the
+    with c < AXIS_MULTIPLIERS works, and c the first such.  Trying every c < Q
+    costs seconds per window from m = 4, N = 15 on, and where that finds a
+    smaller Q (m = 4 at N = 15 and 20) it is smaller by 8% and 1%.  The scan
+    ends: c = n_max + 1 writes n' in base n_max + 1, one-to-one once
+    Q >= (n_max + 1)^(m-1), so c may also reach n_max + 1 when that is past
+    the bound.  The scan starts at the largest of two lower bounds that every
+    one-to-one map obeys: |T|, and vol(T - T) / 2^(m-1) =
+    C(2d, d) n_max^d / (d! 2^d) with d = m - 1, since a translate of
+    (T - T) / 2 with at least that many lattice points has all its
+    differences in T - T.  Candidates are checked in chunks that keep the
     sorted keys near 256 KiB.  For m <= 2 this is the plain axis: Q = 1 or
     _fft_length(n_max + 1), a = () or (1,).
     """
@@ -136,10 +137,12 @@ def _modular_axis(m: int, n_max: int) -> tuple[int, tuple[int, ...]]:
     d = m - 1
     q = max(len(simplex), -(-math.comb(2 * d, d) * n_max**d // (math.factorial(d) * 2**d)))
     chunk = max(1, 2**15 // len(simplex))
+    limit = max(AXIS_MULTIPLIERS, n_max + 2)
     while True:
         q = _fft_length(q)
-        for first in range(0, q, chunk):
-            c = np.arange(first, min(first + chunk, q))
+        tries = min(q, limit)
+        for first in range(0, tries, chunk):
+            c = np.arange(first, min(first + chunk, tries))
             a = np.ones((len(c), d), dtype=np.int64)
             for j in range(1, d):
                 a[:, j] = a[:, j - 1] * c % q
@@ -303,9 +306,9 @@ def integrate(spec: ModelSpec, window: TruncationWindow, config: OdeConfig,
     from FFT noise and were clipped to 0 at least once, and counts the
     rebuilds of the gain's zero mask.
     """
-    if not (math.isfinite(t_end) and t_end > 0.0):
-        raise SpecValidationError(f"t_end must be finite and > 0, got {t_end!r}")
-    records = list(config.record_times) if config.record_times is not None else [t_end]
+    t_end = _time("t_end", t_end, positive=True)
+    records = ([_time("record_times", r) for r in config.record_times]
+               if config.record_times is not None else [t_end])
     if not all(0.0 <= r <= t_end for r in records) or sorted(records) != records:
         raise SpecValidationError("record_times must be sorted within [0, t_end]")
 
@@ -331,17 +334,15 @@ def integrate(spec: ModelSpec, window: TruncationWindow, config: OdeConfig,
             n_steps = max(1, math.ceil(span / config.dt - 1e-12))
             h = span / n_steps
             for _ in range(n_steps):
-                w, flux_acc = _step(rhs, w, flux_acc, h, config.method)
+                w, flux_acc = _step(rhs, w, flux_acc, h)
                 _check_state(w, clipped)
             t = target
         snapshots.append(snap(target))
     return snapshots
 
 
-def _step(rhs, w: np.ndarray, acc: float, h: float, method: str):
+def _step(rhs, w: np.ndarray, acc: float, h: float):
     d1, f1 = rhs(w)
-    if method == "euler":
-        return w + h * d1, acc + h * f1
     d2, f2 = rhs(w + 0.5 * h * d1)
     d3, f3 = rhs(w + 0.5 * h * d2)
     d4, f4 = rhs(w + h * d3)
@@ -361,19 +362,3 @@ def _check_state(w: np.ndarray, clipped: np.ndarray) -> None:
     if low < 0.0:
         clipped |= w < 0.0
         np.clip(w, 0.0, None, out=w)
-
-
-def mass_loss_curve(spec: ModelSpec, window: TruncationWindow, config: OdeConfig,
-                    t_grid) -> list[tuple[float, float]]:
-    """Scalar mass deficit |m(0)| - |m(t)| along a time grid.
-
-    Pre-gelation the deficit vanishes as n_max grows; past the critical
-    time it converges to the gel mass.
-    """
-    t_grid = [float(v) for v in t_grid]
-    if not t_grid:
-        raise SpecValidationError("t_grid must be nonempty")
-    cfg = OdeConfig(dt=config.dt, method=config.method, form=config.form,
-                    record_times=tuple(t_grid))
-    snaps = integrate(spec, window, cfg, t_end=t_grid[-1])
-    return [(t, s.deficit) for t, s in zip(t_grid, snaps)]

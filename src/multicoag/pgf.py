@@ -1,4 +1,4 @@
-"""Generating-function layer: offspring PGF, minimal fixed points, gelation time.
+"""Generating-function layer: minimal fixed points, gelation time.
 
 The offspring law of a type-k node is an independent Poisson count per child
 type l with mean t * A_kl * p_l, so its PGF is
@@ -16,23 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, CriticalityError, SpecValidationError
-from .model import ModelSpec, _support_blocks
+from .model import ModelSpec, _real, _support_blocks, _time
 
-_S_SLACK = 1e-12  # tolerated excursion of PGF arguments outside [0, 1]
 FIXED_POINT_MAX_ITER = 10**6
-
-
-def offspring_pgf(spec: ModelSpec, t: float, k: int, s) -> float:
-    """PGF of the offspring of one type-k node, evaluated at s in [0,1]^m."""
-    if not 0 <= k < spec.m:
-        raise SpecValidationError(f"type index {k} out of range")
-    if t < 0.0:
-        raise SpecValidationError("t must be >= 0")
-    s = np.asarray(s, dtype=float)
-    if s.shape != (spec.m,) or np.any(s < -_S_SLACK) or np.any(s > 1.0 + _S_SLACK):
-        raise SpecValidationError("s must lie in [0, 1]^m")
-    s = np.clip(s, 0.0, 1.0)
-    return float(np.exp(t * np.sum(spec.A[k] * spec.p * (s - 1.0))))
 
 
 @dataclass
@@ -51,8 +37,7 @@ def solve_fixed_point(spec: ModelSpec, t: float, x, tol: float = 1e-13) -> Fixed
     x : nonnegative dual variable, one entry per component.
     tol : sup-norm change between successive iterates at which to stop.
     """
-    if t < 0.0:
-        raise SpecValidationError("t must be >= 0")
+    t = _time("t", t)
     x = np.asarray(x, dtype=float)
     if x.shape != (spec.m,) or np.any(x < 0.0) or not np.all(np.isfinite(x)):
         raise SpecValidationError("x must be finite and >= 0 componentwise")
@@ -100,15 +85,6 @@ class GelationReport:
         }
 
 
-def spectral_value(spec: ModelSpec) -> float:
-    """Largest eigenvalue of A diag(p) restricted to the support of p.
-
-    Computed on the similar symmetric matrix diag(sqrt p) A diag(sqrt p),
-    whose top eigenvalue equals the Perron root of A diag(p).
-    """
-    return gelation_time(spec).spectral_value
-
-
 def gelation_time(spec: ModelSpec) -> GelationReport:
     """Critical time T_c = 1 / ||A diag(p)||, per connected support block.
 
@@ -141,8 +117,12 @@ def gelation_time(spec: ModelSpec) -> GelationReport:
 
 
 def require_subcritical(spec: ModelSpec, t: float) -> float:
-    """The critical time T_c, after checking that 0 < t < T_c (else CriticalityError)."""
+    """The critical time T_c, after checking that 0 < t < T_c.
+
+    A real t outside (0, T_c), nan and inf included, raises CriticalityError;
+    a bool or a non-number raises SpecValidationError.
+    """
     tc = gelation_time(spec).T_c
-    if not 0.0 < t < tc:
+    if not 0.0 < _real("t", t) < tc:
         raise CriticalityError(f"need 0 < t < T_c = {tc!r} (the critical time), got t={t!r}")
     return tc

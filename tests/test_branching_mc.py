@@ -13,7 +13,6 @@ from multicoag import (
     estimate_pmf,
     gelation_time,
     progeny_pmf,
-    sample_progeny,
     sample_progeny_batch,
     solve,
     solve_fixed_point,
@@ -43,10 +42,10 @@ def test_worker_count_does_not_change_stream(bip_spec):
 
 def test_zero_time_gives_bare_root(m3_spec):
     for root in range(3):
-        s = sample_progeny(m3_spec, 0.0, root, McConfig(replicates=1, seed=1))
-        expect = tuple(1 if i == root else 0 for i in range(3))
-        assert s.counts == expect
-        assert not s.censored
+        counts, censored = sample_progeny_batch(m3_spec, 0.0, root, McConfig(replicates=1, seed=1))
+        expect = [1 if i == root else 0 for i in range(3)]
+        assert counts.tolist() == [expect]
+        assert not censored[0]
 
 
 def test_root_type_always_counted(bip_spec):
@@ -57,9 +56,9 @@ def test_root_type_always_counted(bip_spec):
 
 def test_invalid_root_rejected(bip_spec):
     with pytest.raises(SpecValidationError):
-        sample_progeny(bip_spec, 0.5, 7, McConfig(replicates=1))
+        sample_progeny_batch(bip_spec, 0.5, 7, McConfig(replicates=1))
     with pytest.raises(SpecValidationError):
-        sample_progeny(bip_spec, -0.5, 0, McConfig(replicates=1))
+        sample_progeny_batch(bip_spec, -0.5, 0, McConfig(replicates=1))
 
 
 @pytest.mark.parametrize("root", [1.5, True, "foo", -1, "m"], ids=str)
@@ -67,8 +66,7 @@ def test_root_must_be_random_or_a_type_index(two_type_spec, root):
     # a float or bool root once ran as type int(root); "m" is the first index past the types
     root = two_type_spec.m if root == "m" else root
     cfg = McConfig(replicates=1)
-    for call in (lambda: sample_progeny(two_type_spec, 0.3, root, cfg),
-                 lambda: sample_progeny_batch(two_type_spec, 0.3, root, cfg),
+    for call in (lambda: sample_progeny_batch(two_type_spec, 0.3, root, cfg),
                  lambda: estimate_pmf(two_type_spec, 0.3, root, cfg, n_max=5)):
         with pytest.raises(SpecValidationError, match="root"):
             call()
@@ -77,15 +75,15 @@ def test_root_must_be_random_or_a_type_index(two_type_spec, root):
             McConfig(root=root)
     else:
         with pytest.raises(SpecValidationError, match="root"):
-            sample_progeny(two_type_spec, 0.3, None, McConfig(replicates=1, root=root))
+            sample_progeny_batch(two_type_spec, 0.3, None, McConfig(replicates=1, root=root))
 
 
 @pytest.mark.parametrize("root", [0, "random"], ids=str)
 def test_valid_roots_still_sample(two_type_spec, root):
     cfg = McConfig(replicates=1, root=root)
     assert cfg.root == root
-    assert sum(sample_progeny(two_type_spec, 0.3, None, cfg).counts) >= 1
-    assert sum(sample_progeny(two_type_spec, 0.3, root, McConfig(replicates=1)).counts) >= 1
+    assert sample_progeny_batch(two_type_spec, 0.3, None, cfg)[0].sum() >= 1
+    assert sample_progeny_batch(two_type_spec, 0.3, root, McConfig(replicates=1))[0].sum() >= 1
 
 
 def test_config_validation():
@@ -304,9 +302,10 @@ def test_single_replicate_is_row_zero_of_block_zero(asym2_spec):
     t = 0.95 * gelation_time(asym2_spec).T_c
     for seed in range(20):
         cfg = McConfig(replicates=1, population_cap=1_000, seed=seed)
-        counts, censored = per_block_streams(asym2_spec, t, branching_mc.RANDOM_ROOT, cfg)
-        s = sample_progeny(asym2_spec, t, None, cfg)
-        assert s.counts == tuple(counts[0].tolist()) and s.censored == bool(censored[0])
+        want_counts, want_censored = per_block_streams(asym2_spec, t, branching_mc.RANDOM_ROOT, cfg)
+        counts, censored = sample_progeny_batch(asym2_spec, t, None, cfg)
+        assert counts.tolist() == want_counts.tolist()
+        assert censored.tolist() == want_censored.tolist()
 
 
 def unique_rows_pmf(counts: np.ndarray, censored: np.ndarray,

@@ -272,6 +272,7 @@ M1_MODEL = '{"m": 1, "A": [[1.0]], "p": [1.0]}'
     ('{"m": true, "A": [[1.0]], "p": [1.0]}', ["gelation"], True),
     (M1_MODEL, ["localize", "--t", "0.5", "--rate-check", "a,b"], False),
     (M1_MODEL, ["localize", "--t", "0.5", "--rate-check", "1.0", "--n-list", "x"], False),
+    (M1_MODEL, ["localize", "--t", "0.5", "--rate-check", "1.0", "--n-list", "2.5"], False),
     (M1_MODEL, ["localize", "--t", "0.5", "--rate-out", "OUT"], False),
     (M1_MODEL, ["solve", "--t", "0.5", "--nmax", "0", "--out", "OUT"], False),
     (M1_MODEL, ["solve", "--t", "nan", "--nmax", "5", "--method", "ode", "--out", "OUT"], False),
@@ -288,7 +289,8 @@ M1_MODEL = '{"m": 1, "A": [[1.0]], "p": [1.0]}'
                 "--seed", "-1", "--out", "OUT"], False),
     (M1_MODEL, ["compare", "--t", "0.5", "--nmax", "5", "--seed", "-1"], False),
 ], ids=["non_object_json", "malformed_json", "m_not_an_integer", "m_fractional", "m_boolean",
-        "rate_check_not_numbers", "n_list_not_numbers", "rate_out_without_rate_check", "nmax_0",
+        "rate_check_not_numbers", "n_list_not_numbers", "n_list_fractional",
+        "rate_out_without_rate_check", "nmax_0",
         "t_nan", "dt_inf", "ode_t_0", "analytic_t_negative", "mc_t_negative", "compare_t_0",
         "localize_t_0", "localize_t_negative", "mc_seed_negative", "compare_seed_negative"])
 def test_input_faults_exit_2_with_one_line(tmp_path, capsys, model, args, model_fault):

@@ -191,6 +191,13 @@ def test_empirical_rate_requires_integer_compositions(bip_spec):
         empirical_rate(bip_spec, 1.0, [0.5, 0.5], [25])
 
 
+@pytest.mark.parametrize("n", [2.5, True, "x", math.nan], ids=repr)
+def test_empirical_rate_takes_only_whole_sizes(bip_spec, n):
+    # 2.5 was once truncated to a point at N = 2
+    with pytest.raises(SpecValidationError, match="n_list"):
+        empirical_rate(bip_spec, 0.3, [0.5, 0.5], [n, 4])
+
+
 def test_rate_running_fit_needs_three_points(m1_spec):
     seq = empirical_rate(m1_spec, 0.5, [1.0], [50, 100, 200])
     assert seq.running[0] is None and seq.running[1] is None

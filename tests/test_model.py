@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from multicoag import (
+    CriticalityError,
     McConfig,
     ModelSpec,
+    OdeConfig,
     SizeDistribution,
     SpecValidationError,
     TruncationWindow,
@@ -17,10 +19,15 @@ from multicoag import (
     composition_size,
     compositions_up_to,
     estimate_pmf,
+    gamma,
+    gamma_gradient,
+    integrate,
     kernel,
     mass_vector,
+    sample_progeny_batch,
+    solve,
+    solve_fixed_point,
     solve_window,
-    sorted_items,
     validate,
     write_distribution_csv,
 )
@@ -91,6 +98,50 @@ def test_n_max_takes_integral_floats_as_ints(m1_spec, entry):
     for value in (3, 3.0, np.int64(3), np.float64(3.0)):
         got = N_MAX_ENTRY_POINTS[entry](m1_spec, value)
         assert got == 3 and type(got) is int
+
+
+# every public entry point that takes a time or a time step, by the name its
+# error gives and whether it needs > 0 rather than >= 0
+TIME_ENTRY_POINTS = {
+    "estimate_pmf": ("t", False, lambda spec, t: estimate_pmf(
+        spec, t, None, McConfig(replicates=10), n_max=3)),
+    "sample_progeny_batch": ("t", False, lambda spec, t: sample_progeny_batch(
+        spec, t, None, McConfig(replicates=10))),
+    "solve_fixed_point": ("t", False, lambda spec, t: solve_fixed_point(spec, t, [0.0, 0.0])),
+    "gamma": ("t", True, lambda spec, t: gamma(spec, t, [0.5, 0.5])),
+    "gamma_gradient": ("t", True, lambda spec, t: gamma_gradient(spec, t, [0.5, 0.5])),
+    "integrate": ("t_end", True, lambda spec, t: integrate(
+        spec, TruncationWindow(3), OdeConfig(dt=0.1), t_end=t)),
+    "OdeConfig": ("dt", True, lambda spec, t: OdeConfig(dt=t)),
+}
+
+
+@pytest.mark.parametrize("value", ["x", None, True, np.True_, math.nan, math.inf, -math.inf,
+                                   -1, 0.0], ids=repr)
+@pytest.mark.parametrize("entry", sorted(TIME_ENTRY_POINTS))
+def test_time_takes_only_a_finite_real_number_in_range(bip_spec, entry, value):
+    name, positive, call = TIME_ENTRY_POINTS[entry]
+    if value == 0.0 and not positive:  # t = 0 is the initial state
+        call(bip_spec, value)
+        return
+    with pytest.raises(SpecValidationError, match=f"^{name} must be"):
+        call(bip_spec, value)
+
+
+@pytest.mark.parametrize("entry", sorted(TIME_ENTRY_POINTS))
+def test_time_takes_python_and_numpy_reals(bip_spec, entry):
+    for value in (1, 0.5, np.float64(0.5), np.int64(1), np.float32(0.5)):  # T_c = 2
+        TIME_ENTRY_POINTS[entry][2](bip_spec, value)
+
+
+@pytest.mark.parametrize("value", ["x", None, True, np.True_, math.nan, math.inf, -1, 0.0],
+                         ids=repr)
+def test_subcritical_time_is_a_real_number_inside_the_critical_window(m1_spec, value):
+    # only a bool or a non-number is malformed; a real t outside (0, T_c) is a criticality fault
+    real = type(value) in (int, float)
+    with pytest.raises(CriticalityError if real else SpecValidationError):
+        solve(m1_spec, value, (1,))
+
 
 def test_symmetrization_and_renormalization_flags():
     spec = ModelSpec(m=2, A=[[0.0, 2.0], [0.0, 0.0]], p=[0.5, 0.5])
@@ -165,7 +216,8 @@ def test_as_composition_and_size():
 def test_distribution_csv_roundtrip(tmp_path):
     dist = SizeDistribution(t=0.25, m=2, entries={(1, 0): 0.5, (0, 1): 0.25, (2, 1): 0.125e-7})
     path = tmp_path / "dist.csv"
-    write_distribution_csv(path, 2, sorted_items(dist.entries))
+    rows = sorted(dist.entries.items(), key=lambda kv: (sum(kv[0]), kv[0]))
+    write_distribution_csv(path, 2, rows)
     text = path.read_text().splitlines()
     assert text[0] == "n_1,n_2,w"
     loaded = SizeDistribution.from_csv(path, t=0.25)
@@ -200,7 +252,6 @@ def test_window_masses_is_a_read_only_mapping():
         WindowMasses(2, 3, values[:-1])
     dist = SizeDistribution(t=0.1, m=2, entries=window)
     assert dist.entries is window
-    assert dist.prune(floor=5.0).entries == {c: w for c, w in as_dict.items() if w >= 5.0}
     assert mass_vector(dist) == pytest.approx(sum(np.asarray(c) * w for c, w in as_dict.items()))
     with pytest.raises(SpecValidationError):
         SizeDistribution(t=0.1, m=3, entries=window)

@@ -17,8 +17,8 @@ from multicoag import (
     derivative,
     gelation_time,
     integrate,
+    compositions_up_to,
     kernel,
-    mass_loss_curve,
     mass_vector,
     solve_window,
 )
@@ -38,7 +38,7 @@ def pair_sum_derivative(spec, dist, window, form):
     w = dist.entries
     mass = spec.p if form == "reduced" else mass_vector(dist)
     out, largest = {}, 0.0
-    for n in window.states(spec.m):
+    for n in compositions_up_to(spec.m, window.n_max):
         terms = []
         for k in product(*(range(c + 1) for c in n)):
             l = tuple(a - b for a, b in zip(n, k))
@@ -187,6 +187,27 @@ def test_modular_axis_search_is_deterministic(monkeypatch):
     assert first[0] == (350, (1, 134))  # 231 simplex points, against 21 x 21 per axis
 
 
+def one_to_one_on_the_simplex(m, n_max, q, a):
+    states = _window_array(m, n_max)
+    simplex = states[states.sum(axis=1) == n_max, :-1]
+    return len(np.unique(simplex @ np.array(a) % q)) == len(simplex)
+
+
+def test_modular_axis_tries_only_small_multipliers(monkeypatch):
+    # a scan over every c < Q took over a second here, to find c = 519 at Q = 2205
+    q, a = ode._modular_axis(4, 15)
+    assert a[1] < 512 and a[2] == a[1] ** 2 % q
+    assert one_to_one_on_the_simplex(4, 15, q, a)
+    # no c <= n_max works at any Q, as (c, 0) and (0, 1) collide: c = n_max + 1 ends the scan
+    monkeypatch.setattr(ode, "AXIS_MULTIPLIERS", 2)
+    ode._modular_axis.cache_clear()
+    try:
+        q, a = ode._modular_axis(3, 6)
+    finally:
+        ode._modular_axis.cache_clear()
+    assert a[1] < 8 and one_to_one_on_the_simplex(3, 6, q, a)
+
+
 def test_modular_axis_matches_the_graded_box(m1_spec, bip_spec, asym2_spec, m3_spec, m4_spec):
     """Bitwise for m <= 2, within the pair-sum bound for m >= 3, on both forms."""
     rng = np.random.default_rng(23)
@@ -258,7 +279,7 @@ def test_closed_form_solves_the_window_ode(request, name, n_max):
     spec = request.getfixturevalue(name)
     ulp = np.finfo(float).eps
     window = TruncationWindow(n_max)
-    comp = np.array(window.states(spec.m), dtype=float)
+    comp = np.array(compositions_up_to(spec.m, n_max), dtype=float)
     s = comp @ (spec.A @ spec.p)
     tc = gelation_time(spec).T_c
     for frac in (0.1, 0.5, 0.9):
@@ -275,7 +296,7 @@ def test_derivative_is_a_window_mapping(m3_spec):
     window = TruncationWindow(6)
     dw = derivative(m3_spec, SizeDistribution.monodisperse(m3_spec), window)
     assert isinstance(dw, WindowMasses)
-    assert list(dw) == list(window.states(3))
+    assert list(dw) == list(compositions_up_to(3, 6))
 
 
 def test_derivative_full_equals_reduced_at_t0(bip_spec):
@@ -327,14 +348,16 @@ def test_reduced_flux_bounded_by_deficit(bip_red_60):
 
 
 def test_mass_loss_curve_examples(m1_spec):
+    # the deficit |m(0)| - |m(t)| vanishes before gelation and is the gel mass after
     window = TruncationWindow(60)
-    cfg = OdeConfig(dt=1e-3)
-    curve = mass_loss_curve(m1_spec, window, cfg, [0.5])
-    assert curve[0][1] < 1e-6
-    curve_gel = mass_loss_curve(m1_spec, window, cfg, [1.5])
-    assert curve_gel[0][1] > 0.1
-    curve0 = mass_loss_curve(m1_spec, window, cfg, [0.0, 0.25])
-    assert curve0[0][1] == 0.0
+
+    def deficits(t_grid):
+        cfg = OdeConfig(dt=1e-3, record_times=tuple(t_grid))
+        return [s.deficit for s in integrate(m1_spec, window, cfg, t_end=t_grid[-1])]
+
+    assert deficits([0.5])[0] < 1e-6
+    assert deficits([1.5])[0] > 0.1
+    assert deficits([0.0, 0.25])[0] == 0.0
 
 
 def test_rk4_order_of_convergence(m1_spec):
@@ -346,18 +369,9 @@ def test_rk4_order_of_convergence(m1_spec):
     assert 12.0 <= errs[0] / errs[1] <= 20.0
 
 
-def test_euler_converges_first_order(m1_spec):
-    errs = []
-    for dt in (0.01, 0.005):
-        snap = integrate(m1_spec, TruncationWindow(20),
-                         OdeConfig(dt=dt, method="euler"), t_end=0.3)[-1]
-        errs.append(abs(snap.dist.entries[(1,)] - math.exp(-0.3)))
-    assert 1.7 <= errs[0] / errs[1] <= 2.3
-
-
 def test_integrate_signals_blowup(m1_spec):
     with pytest.raises(IntegrationError):
-        integrate(m1_spec, TruncationWindow(5), OdeConfig(dt=5.0, method="euler"), t_end=20.0)
+        integrate(m1_spec, TruncationWindow(5), OdeConfig(dt=5.0), t_end=20.0)
 
 
 def test_integrate_validates_record_times(m1_spec):
@@ -373,8 +387,6 @@ def test_ode_config_validation():
     with pytest.raises(SpecValidationError):
         OdeConfig(dt=-0.1)
     with pytest.raises(SpecValidationError):
-        OdeConfig(method="heun")
-    with pytest.raises(SpecValidationError):
         OdeConfig(form="frozen")
     with pytest.raises(SpecValidationError):
         TruncationWindow(0)
@@ -387,11 +399,11 @@ def test_snapshot_masses_match_distribution(m1_red_60, m1_spec):
 
 def test_snapshot_covers_the_window_with_the_mass_floor(m1_spec, bip_red_60, monkeypatch):
     snap = bip_red_60[1.0]
-    assert list(snap.dist.entries) == list(TruncationWindow(60).states(2))
+    assert list(snap.dist.entries) == list(compositions_up_to(2, 60))
     assert snap.dist.entries[(2, 0)] == 0.0  # like types never merge here
     # a state below MASS_FLOOR = 1e-300 is recorded as 0.0, one at or above it as is
     state = np.array([0.5, 2e-300, 1e-310, 0.0, 0.25])
-    monkeypatch.setattr(ode, "_step", lambda rhs, w, acc, h, method: (state.copy(), acc))
+    monkeypatch.setattr(ode, "_step", lambda rhs, w, acc, h: (state.copy(), acc))
     snap = integrate(m1_spec, TruncationWindow(5), OdeConfig(dt=0.1), t_end=0.1)[-1]
     assert list(snap.dist.entries.items()) == [
         ((1,), 0.5), ((2,), 2e-300), ((3,), 0.0), ((4,), 0.0), ((5,), 0.25)]
@@ -402,7 +414,7 @@ def test_snapshots_count_the_clipped_cells(m1_spec, monkeypatch):
     states = iter([[0.5, -1e-12, 0.1, 0.0, 0.0], [0.5, -1e-12, -1e-13, 0.0, 0.0],
                    [0.5, 0.0, 0.1, 0.0, 0.0]])
     monkeypatch.setattr(ode, "_step",
-                        lambda rhs, w, acc, h, method: (np.array(next(states)), acc))
+                        lambda rhs, w, acc, h: (np.array(next(states)), acc))
     snaps = integrate(m1_spec, TruncationWindow(5), OdeConfig(dt=0.1, record_times=(0.1, 0.3)),
                       t_end=0.3)
     assert [snap.clipped for snap in snaps] == [1, 2]
