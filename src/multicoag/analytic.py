@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalBreakdownError, SpecValidationError
-from .model import (ModelSpec, SizeDistribution, WindowMasses, _window_array, _window_size,
+from .model import (ModelSpec, SizeDistribution, WindowMasses, _count, _window_array,
                     as_composition)
 from . import pgf
 
@@ -175,6 +175,6 @@ def solve_log(spec: ModelSpec, t: float, n) -> float:
 
 def solve_window(spec: ModelSpec, t: float, n_max: int) -> SizeDistribution:
     """Evaluate w_n(t) for every composition with 1 <= |n| <= n_max, in one batch."""
-    n_max = _window_size(n_max)
+    n_max = _count("n_max", n_max)
     log_w, _ = _solve_rows(spec, t, _window_array(spec.m, n_max))
     return SizeDistribution(t=t, m=spec.m, entries=WindowMasses(spec.m, n_max, np.exp(log_w)))

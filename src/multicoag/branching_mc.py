@@ -18,8 +18,11 @@ rows that are neither extinct nor censored, in block order.  numpy's
 Poisson(0) consumes no random draws, so this yields exactly the stream of
 drawing every row with the dead ones at rate 0.  A fixed-seed digest test
 (tests/test_branching_mc.py) pins the streams, and so catches a numpy
-release that changes its Poisson sampler.  The pmf is tabulated with one
-lexicographic sort of the kept rows.
+release that changes its Poisson sampler.
+
+sample_progeny_batch returns every replicate.  estimate_pmf reduces each
+group as it finishes, in its worker, to the rows it tabulates, narrowed,
+and its censored count; the pmf is then one lexicographic sort of those rows.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SpecValidationError
-from .model import Composition, ModelSpec, _time, _whole_number, _window_size
+from .model import Composition, ModelSpec, _count, _time, _whole_number
 
 BLOCK_SIZE = 4096
 GROUP_BLOCKS = 4  # blocks advanced in lockstep by one call of _simulate_blocks
@@ -45,12 +48,9 @@ class McConfig:
     root: int | str = RANDOM_ROOT
 
     def __post_init__(self) -> None:
-        for name in ("replicates", "population_cap", "seed"):
-            object.__setattr__(self, name, _whole_number(name, getattr(self, name)))
-        if self.replicates < 1:
-            raise SpecValidationError("replicates must be >= 1")
-        if self.population_cap < 1:
-            raise SpecValidationError("population_cap must be >= 1")
+        for name in ("replicates", "population_cap"):
+            object.__setattr__(self, name, _count(name, getattr(self, name)))
+        object.__setattr__(self, "seed", _whole_number("seed", self.seed))
         if self.seed < 0:
             raise SpecValidationError(f"seed must be >= 0, got {self.seed}")
         object.__setattr__(self, "root", _root_index(self.root))
@@ -127,6 +127,31 @@ def _simulate_blocks(spec: ModelSpec, t: float, root: int | str, cap: int, seed:
         live, z, total = live[keep], kids[keep], total[keep]
 
 
+def _run_groups(spec: ModelSpec, t: float, root: int | str, config: McConfig, threads: int,
+                buffers, finish=lambda counts, censored: None) -> list:
+    """finish(counts, censored) of every lockstep group, in group order; t,
+    root and threads come checked.
+
+    buffers(rows) gives the zeroed int64 counts (rows x m) and bool censored
+    (rows) that the group owning the slice rows of the R replicates fills.
+    Threads take whole groups, each simulated and finished in its worker.
+    """
+    n = config.replicates
+    n_blocks = (n + BLOCK_SIZE - 1) // BLOCK_SIZE
+
+    def run(first: int):
+        blocks = range(first, min(first + GROUP_BLOCKS, n_blocks))
+        counts, censored = buffers(slice(first * BLOCK_SIZE, min(blocks.stop * BLOCK_SIZE, n)))
+        _simulate_blocks(spec, t, root, config.population_cap, config.seed, blocks, counts, censored)
+        return finish(counts, censored)
+
+    groups = range(0, n_blocks, GROUP_BLOCKS)
+    if threads > 1 and len(groups) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(run, groups))
+    return [run(g) for g in groups]
+
+
 def sample_progeny_batch(spec: ModelSpec, t: float, root: int | str | None,
                          config: McConfig, threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """All replicates as arrays (counts: R x m, censored: R); censored rows are
@@ -137,44 +162,34 @@ def sample_progeny_batch(spec: ModelSpec, t: float, root: int | str | None,
     the group width.  Groups of GROUP_BLOCKS blocks advance in lockstep and
     write straight into their rows of the result; threads take whole groups.
     """
-    t = _time("t", t)
-    r = _resolve_root(spec, root, config)
-    n = config.replicates
-    counts = np.zeros((n, spec.m), dtype=np.int64)
-    censored = np.zeros(n, dtype=bool)
-
-    n_blocks = (n + BLOCK_SIZE - 1) // BLOCK_SIZE
-    groups = range(0, n_blocks, GROUP_BLOCKS)
-
-    def run(first: int) -> None:
-        rows = slice(first * BLOCK_SIZE, (first + GROUP_BLOCKS) * BLOCK_SIZE)
-        blocks = range(first, min(first + GROUP_BLOCKS, n_blocks))
-        _simulate_blocks(spec, t, r, config.population_cap, config.seed, blocks,
-                         counts[rows], censored[rows])
-
-    if threads > 1 and len(groups) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, groups))
-    else:
-        for g in groups:
-            run(g)
+    t, r, threads = _time("t", t), _resolve_root(spec, root, config), _count("threads", threads)
+    counts = np.zeros((config.replicates, spec.m), dtype=np.int64)
+    censored = np.zeros(config.replicates, dtype=bool)
+    _run_groups(spec, t, r, config, threads, lambda rows: (counts[rows], censored[rows]))
     return counts, censored
 
 
-def _tabulate(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rows in lexicographic order with their multiplicities.
+def _narrow(rows: np.ndarray) -> np.ndarray:
+    """Nonnegative int rows (k x m) as C-ordered columns (m x k) of the narrowest
+    unsigned type that holds their largest entry (uint8 when there are none).
 
-    One lexsort (first column primary) and a scan for run boundaries.  The
-    rows are cast to the narrowest unsigned type that holds their largest
-    entry first: numpy radix-sorts 8- and 16-bit keys, several times faster
-    than it sorts int64.
+    lexsort then reads each key contiguously, with no buffer of its own, and
+    numpy radix-sorts 8- and 16-bit keys, several times faster than int64.
     """
-    if len(rows) == 0:
-        return rows, np.zeros(0, dtype=np.int64)
-    rows = rows.astype(np.min_scalar_type(rows.max()))
-    rows = rows[np.lexsort(rows.T[::-1])]
-    starts = np.flatnonzero(np.r_[True, np.any(rows[1:] != rows[:-1], axis=1)])
-    return rows[starts], np.diff(np.r_[starts, len(rows)])
+    return rows.T.astype(np.min_scalar_type(rows.max()) if len(rows) else np.uint8, order="C")
+
+
+def _tabulate(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct columns of cols (m x R), in lexicographic order with row 0
+    primary, as the rows of an array, and their multiplicities.
+
+    One lexsort and a scan for run boundaries.
+    """
+    if cols.shape[1] == 0:
+        return cols.T, np.zeros(0, dtype=np.int64)
+    cols = cols[:, np.lexsort(cols[::-1])]
+    starts = np.flatnonzero(np.r_[True, np.any(cols[:, 1:] != cols[:, :-1], axis=0)])
+    return cols[:, starts].T, np.diff(np.r_[starts, cols.shape[1]])
 
 
 def estimate_pmf(spec: ModelSpec, t: float, root: int | str | None, config: McConfig,
@@ -183,13 +198,25 @@ def estimate_pmf(spec: ModelSpec, t: float, root: int | str | None, config: McCo
 
     Censored replicates are excluded from the pmf and reported via the
     censoring rate (at a generous cap the censored fraction estimates the
-    survival probability past the critical time).
+    survival probability past the critical time).  Each group is reduced in
+    its worker as it finishes, so the R x m count matrix never exists; the
+    result equals tabulating sample_progeny_batch's arrays.
     """
-    n_max = _window_size(n_max)
-    counts, censored = sample_progeny_batch(spec, t, root, config, threads=threads)
-    n_unc = int(np.count_nonzero(~censored))
-    sizes = sum(counts.T)  # adding the m columns is several times faster than sum(axis=1)
-    rows, freq = _tabulate(counts[~censored & (sizes <= n_max)])
+    n_max = _count("n_max", n_max)
+    t, r, threads = _time("t", t), _resolve_root(spec, root, config), _count("threads", threads)
+
+    def fresh(rows: slice) -> tuple[np.ndarray, np.ndarray]:
+        size = rows.stop - rows.start
+        return np.zeros((size, spec.m), dtype=np.int64), np.zeros(size, dtype=bool)
+
+    def reduce(counts: np.ndarray, censored: np.ndarray) -> tuple[np.ndarray, int]:
+        sizes = sum(counts.T)  # adding the m columns is several times faster than sum(axis=1)
+        return _narrow(counts[~censored & (sizes <= n_max)]), int(np.count_nonzero(censored))
+
+    groups = _run_groups(spec, t, r, config, threads, fresh, reduce)
+    n_censored = sum(c for _, c in groups)
+    rows, freq = _tabulate(np.concatenate([kept for kept, _ in groups], axis=1))
+    n_unc = config.replicates - n_censored
     denom = max(n_unc, 1)  # with every replicate censored there are no rows to divide
     est = freq / denom
     se = np.sqrt(est * (1.0 - est) / denom)
@@ -198,7 +225,7 @@ def estimate_pmf(spec: ModelSpec, t: float, root: int | str | None, config: McCo
     }
     return McPmfEstimate(
         pmf=pmf,
-        censoring_rate=float(censored.mean()),
+        censoring_rate=n_censored / config.replicates,
         replicates=config.replicates,
         n_uncensored=n_unc,
         n_max=n_max,

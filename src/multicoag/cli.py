@@ -71,8 +71,8 @@ class RunManifest:
 
 
 def _threads(args: argparse.Namespace) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
+    if args.threads is not None:  # _check_args has rejected values below 1
+        return args.threads
     env = os.environ.get("COAG_THREADS")
     if env:
         try:
@@ -95,7 +95,7 @@ def _check_args(args: argparse.Namespace) -> None:
             raise CoagulationError(f"--t must be finite and > 0, got {t!r}")
     if dt is not None and not (math.isfinite(dt) and dt > 0.0):
         raise CoagulationError(f"--dt must be finite and > 0, got {dt!r}")
-    for name in ("nmax", "replicates", "mc_replicates", "cap"):
+    for name in ("nmax", "replicates", "mc_replicates", "cap", "threads"):
         count = getattr(args, name, None)
         if count is not None and count < 1:
             raise CoagulationError(f"--{name.replace('_', '-')} must be >= 1, got {count}")

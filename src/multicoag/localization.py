@@ -20,7 +20,7 @@ import numpy as np
 
 from . import analytic, pgf
 from .errors import ConvergenceError, HypothesisError, SpecValidationError
-from .model import ModelSpec, _time, _whole_number
+from .model import ModelSpec, _count, _time, _whole_number
 
 BOUNDARY_TOL = 1e-14     # iterate this close to the boundary => boundary-minimum flag
 ARMIJO_C1 = 1e-4
@@ -99,8 +99,9 @@ def minimize_gamma(spec: ModelSpec, t: float, tol: float = 1e-10,
     Terminates when the Euclidean norm of the simplex-projected gradient
     drops to tol.  Requires every p_i > 0 and subcritical t; an iterate
     collapsing onto the boundary is reported via the boundary flag, not an
-    exception.
+    exception.  tol must be finite and > 0, max_iter a whole number >= 1.
     """
+    tol, max_iter = _time("tol", tol, positive=True), _count("max_iter", max_iter)
     if np.any(spec.p <= 0.0):
         raise HypothesisError("localization requires p_i > 0 for every component")
     pgf.require_subcritical(spec, t)

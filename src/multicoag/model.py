@@ -62,11 +62,12 @@ def _whole_number(name: str, value) -> int:
     return whole
 
 
-def _window_size(n_max) -> int:
-    """The one check of a window size, for every entry point that takes n_max."""
-    whole = _whole_number("n_max", n_max)
+def _count(name: str, value) -> int:
+    """The one check of a size or a count (n_max, replicates, threads, max_iter):
+    a whole number >= 1, as for _whole_number."""
+    whole = _whole_number(name, value)
     if whole < 1:
-        raise SpecValidationError(f"n_max must be >= 1, got {n_max!r}")
+        raise SpecValidationError(f"{name} must be >= 1, got {value!r}")
     return whole
 
 
@@ -79,8 +80,8 @@ def _real(name: str, value) -> float:
 
 
 def _time(name: str, value, positive: bool = False) -> float:
-    """The one check of a time or a time step, for every entry point that takes one:
-    a finite real number >= 0, or > 0 when positive."""
+    """The one check of a time, a time step or a stopping tolerance, for every entry
+    point that takes one: a finite real number >= 0, or > 0 when positive."""
     t = _real(name, value)
     if not math.isfinite(t) or t < 0.0 or (positive and t == 0.0):
         raise SpecValidationError(
@@ -93,7 +94,7 @@ def compositions_up_to(m: int, n_max: int) -> tuple[Composition, ...]:
     m = _whole_number("m", m)  # checked before the cache, where True would find 1
     if m < 1:
         raise SpecValidationError("need m >= 1")
-    return _compositions(m, _window_size(n_max))
+    return _compositions(m, _count("n_max", n_max))
 
 
 @lru_cache(maxsize=32)

@@ -45,9 +45,9 @@ from .model import (
     ModelSpec,
     SizeDistribution,
     WindowMasses,
+    _count,
     _time,
     _window_array,
-    _window_size,
     scatter_window,
 )
 
@@ -64,7 +64,7 @@ class TruncationWindow:
     n_max: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n_max", _window_size(self.n_max))
+        object.__setattr__(self, "n_max", _count("n_max", self.n_max))
 
 
 @dataclass

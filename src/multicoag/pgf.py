@@ -35,9 +35,10 @@ def solve_fixed_point(spec: ModelSpec, t: float, x, tol: float = 1e-13) -> Fixed
     Parameters
     ----------
     x : nonnegative dual variable, one entry per component.
-    tol : sup-norm change between successive iterates at which to stop.
+    tol : sup-norm change between successive iterates at which to stop,
+        finite and > 0 (a nan tol would never stop).
     """
-    t = _time("t", t)
+    t, tol = _time("t", t), _time("tol", tol, positive=True)
     x = np.asarray(x, dtype=float)
     if x.shape != (spec.m,) or np.any(x < 0.0) or not np.all(np.isfinite(x)):
         raise SpecValidationError("x must be finite and >= 0 componentwise")

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from scipy import stats
 
 from multicoag import (
     McConfig,
+    ModelSpec,
     SpecValidationError,
     estimate_pmf,
     gelation_time,
@@ -340,17 +342,56 @@ def _count_arrays():
             counts = rng.choice([0, 1, 2, top - 1, top], size=(600, m))
             yield f"m{m} max {top}", counts, rng.random(600) < 0.1, m * top
     yield "n_max 10**20", rng.poisson(3.0, size=(2_000, 3)), rng.random(2_000) < 0.1, 10**20
+    # three groups, the last one partial, whose kept rows narrow to uint8, to
+    # uint16 and to nothing (every row of the last one is past n_max)
+    group = branching_mc.GROUP_BLOCKS * BLOCK_SIZE
+    counts = np.concatenate([rng.integers(0, 201, size=(group, 2)),
+                             rng.integers(0, 301, size=(group, 2)),
+                             rng.integers(400, 500, size=(1_000, 2))])
+    yield "groups of mixed widths", counts, rng.random(len(counts)) < 0.1, 600
+
+
+def replay(counts: np.ndarray, censored: np.ndarray):
+    """A _simulate_blocks that fills each group with its rows of fixed arrays."""
+    def fill(spec, t, root, cap, seed, blocks, group_counts, group_censored):
+        rows = slice(blocks.start * BLOCK_SIZE, blocks.start * BLOCK_SIZE + len(group_counts))
+        group_counts[:] = counts[rows]
+        group_censored[:] = censored[rows]
+    return fill
 
 
 @pytest.mark.parametrize("case", list(_count_arrays()), ids=lambda c: c[0])
-def test_estimate_pmf_matches_unique_rows_oracle(case, monkeypatch, m1_spec):
+def test_estimate_pmf_matches_unique_rows_oracle(case, monkeypatch):
+    # the sampler is replaced below the group runner, so the per-group
+    # reduction and the tabulation run as they do on sampled rows
     _, counts, censored, n_max = case
     counts = counts.astype(np.int64)
-    monkeypatch.setattr(branching_mc, "sample_progeny_batch",
-                        lambda *args, **kwargs: (counts, censored))
-    est = estimate_pmf(m1_spec, 0.5, 0, McConfig(replicates=len(counts)), n_max=n_max)
+    m = counts.shape[1]
+    spec = ModelSpec(m=m, A=np.ones((m, m)), p=np.full(m, 1.0 / m))
+    monkeypatch.setattr(branching_mc, "_simulate_blocks", replay(counts, censored))
     want = unique_rows_pmf(counts, censored, n_max)
-    assert list(est.pmf.items()) == list(want.items())
-    assert all(type(v) is int for n in est.pmf for v in n)
-    assert est.n_uncensored == int((~censored).sum())
-    assert est.censoring_rate == float(censored.mean())
+    for threads in (1, 2):
+        est = estimate_pmf(spec, 0.5, 0, McConfig(replicates=len(counts)), n_max=n_max,
+                           threads=threads)
+        assert list(est.pmf.items()) == list(want.items()), f"threads={threads}"
+        assert all(type(v) is int for n in est.pmf for v in n)
+        assert est.n_uncensored == int((~censored).sum())
+        assert est.censoring_rate == float(censored.mean())
+
+
+def test_estimate_pmf_never_holds_the_count_matrix(m3_spec):
+    # 16 groups of subcritical m3 replicates, whose full int64 count matrix
+    # alone would take 262,144 x 3 x 8 bytes = 6 MiB
+    cfg = McConfig(replicates=16 * branching_mc.GROUP_BLOCKS * BLOCK_SIZE, seed=5)
+    t = 0.5 * gelation_time(m3_spec).T_c
+    estimate_pmf(m3_spec, t, None, McConfig(replicates=1), n_max=30)  # first-call imports
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        est = estimate_pmf(m3_spec, t, None, cfg, n_max=30, threads=1)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert est.n_uncensored > 0.99 * cfg.replicates
+    assert peak < cfg.replicates * m3_spec.m * 8, f"traced peak {peak / 2**20:.2f} MiB"

@@ -288,11 +288,16 @@ M1_MODEL = '{"m": 1, "A": [[1.0]], "p": [1.0]}'
     (M1_MODEL, ["solve", "--t", "0.5", "--nmax", "5", "--method", "mc", "--replicates", "10",
                 "--seed", "-1", "--out", "OUT"], False),
     (M1_MODEL, ["compare", "--t", "0.5", "--nmax", "5", "--seed", "-1"], False),
+    # a thread count below 1 is a fault, not a request for one thread
+    (M1_MODEL, ["solve", "--t", "0.5", "--nmax", "5", "--method", "mc", "--replicates", "10",
+                "--threads", "0", "--out", "OUT"], False),
+    (M1_MODEL, ["compare", "--t", "0.5", "--nmax", "5", "--threads", "-3"], False),
 ], ids=["non_object_json", "malformed_json", "m_not_an_integer", "m_fractional", "m_boolean",
         "rate_check_not_numbers", "n_list_not_numbers", "n_list_fractional",
         "rate_out_without_rate_check", "nmax_0",
         "t_nan", "dt_inf", "ode_t_0", "analytic_t_negative", "mc_t_negative", "compare_t_0",
-        "localize_t_0", "localize_t_negative", "mc_seed_negative", "compare_seed_negative"])
+        "localize_t_0", "localize_t_negative", "mc_seed_negative", "compare_seed_negative",
+        "mc_threads_0", "compare_threads_negative"])
 def test_input_faults_exit_2_with_one_line(tmp_path, capsys, model, args, model_fault):
     # exit 1 is the compare verdict FAIL; only model-file faults read as a model error
     spec = tmp_path / "model.json"

@@ -24,6 +24,7 @@ from multicoag import (
     integrate,
     kernel,
     mass_vector,
+    minimize_gamma,
     sample_progeny_batch,
     solve,
     solve_fixed_point,
@@ -141,6 +142,55 @@ def test_subcritical_time_is_a_real_number_inside_the_critical_window(m1_spec, v
     real = type(value) in (int, float)
     with pytest.raises(CriticalityError if real else SpecValidationError):
         solve(m1_spec, value, (1,))
+
+
+# every public entry point that takes a thread count or an iteration cap, by the
+# name its error gives; each must be a whole number >= 1
+COUNT_ENTRY_POINTS = {
+    "estimate_pmf": ("threads", lambda spec, k: estimate_pmf(
+        spec, 0.5, None, McConfig(replicates=10), n_max=3, threads=k)),
+    "sample_progeny_batch": ("threads", lambda spec, k: sample_progeny_batch(
+        spec, 0.5, None, McConfig(replicates=10), threads=k)),
+    "minimize_gamma": ("max_iter", lambda spec, k: minimize_gamma(spec, 0.5, max_iter=k)),
+}
+
+
+@pytest.mark.parametrize("value", ["x", None, True, np.True_, math.nan, 2.5, 0, -3, 0.0],
+                         ids=repr)
+@pytest.mark.parametrize("entry", sorted(COUNT_ENTRY_POINTS))
+def test_counts_take_only_whole_numbers_from_one(bip_spec, entry, value):
+    # a string or None must raise the typed error, not a TypeError from a comparison,
+    # and a count below 1 or a fraction must not be rounded to some other count
+    name, call = COUNT_ENTRY_POINTS[entry]
+    with pytest.raises(SpecValidationError, match=f"^{name} must be"):
+        call(bip_spec, value)
+
+
+@pytest.mark.parametrize("entry", sorted(COUNT_ENTRY_POINTS))
+def test_counts_take_integral_floats_and_numpy_integers(bip_spec, entry):
+    for value in (2, 2.0, np.int64(2), 1_000):
+        COUNT_ENTRY_POINTS[entry][1](bip_spec, value)
+
+
+# every public entry point that takes a stopping tolerance
+TOLERANCE_ENTRY_POINTS = {
+    "solve_fixed_point": lambda spec, tol: solve_fixed_point(spec, 0.5, [0.0, 0.0], tol=tol),
+    "minimize_gamma": lambda spec, tol: minimize_gamma(spec, 0.5, tol=tol),
+}
+
+
+@pytest.mark.parametrize("value", ["x", None, True, math.nan, math.inf, 0.0, -1e-13], ids=repr)
+@pytest.mark.parametrize("entry", sorted(TOLERANCE_ENTRY_POINTS))
+def test_tolerance_takes_only_a_finite_positive_real(bip_spec, entry, value):
+    # no residual is <= nan, so a nan tol would run solve_fixed_point to its 10**6 cap
+    with pytest.raises(SpecValidationError, match="^tol must be"):
+        TOLERANCE_ENTRY_POINTS[entry](bip_spec, value)
+
+
+@pytest.mark.parametrize("entry", sorted(TOLERANCE_ENTRY_POINTS))
+def test_tolerance_takes_python_and_numpy_reals(bip_spec, entry):
+    for value in (1e-10, np.float64(1e-10), 1):
+        TOLERANCE_ENTRY_POINTS[entry](bip_spec, value)
 
 
 def test_symmetrization_and_renormalization_flags():
