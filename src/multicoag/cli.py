@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -70,20 +69,6 @@ class RunManifest:
             f.write("\n")
 
 
-def _threads(args: argparse.Namespace) -> int:
-    if args.threads is not None:  # _check_args has rejected values below 1
-        return args.threads
-    env = os.environ.get("COAG_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise CoagulationError(f"COAG_THREADS must be an integer, got {env!r}") from None
-    if hasattr(os, "sched_getaffinity"):  # the CPUs this process may run on, not the host's
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _check_args(args: argparse.Namespace) -> None:
     """Argument faults, found before any work and named by their option (exit 2)."""
     t, dt = getattr(args, "t", None), getattr(args, "dt", None)
@@ -95,7 +80,7 @@ def _check_args(args: argparse.Namespace) -> None:
             raise CoagulationError(f"--t must be finite and > 0, got {t!r}")
     if dt is not None and not (math.isfinite(dt) and dt > 0.0):
         raise CoagulationError(f"--dt must be finite and > 0, got {dt!r}")
-    for name in ("nmax", "replicates", "mc_replicates", "cap", "threads"):
+    for name in ("nmax", "replicates", "mc_replicates", "cap"):
         count = getattr(args, name, None)
         if count is not None and count < 1:
             raise CoagulationError(f"--{name.replace('_', '-')} must be >= 1, got {count}")
@@ -113,12 +98,7 @@ def _number_list(option: str, text: str, kind: type) -> list:
 
 
 def _load_spec(path: str) -> ModelSpec:
-    with open(path, encoding="utf-8") as f:
-        try:
-            data = json.load(f)
-        except ValueError as e:  # malformed JSON or not UTF-8
-            raise SpecValidationError(f"{path} is not valid JSON: {e}") from None
-    spec = ModelSpec.from_json_dict(data)
+    spec = ModelSpec.from_json(path)
     report = validate(spec)
     for msg in report.messages:
         print(f"note: {msg}", file=sys.stderr)
@@ -187,8 +167,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         seed = args.seed
         cfg = branching_mc.McConfig(replicates=args.replicates, population_cap=args.cap,
                                     seed=args.seed, root=branching_mc.RANDOM_ROOT)
-        est = branching_mc.estimate_pmf(spec, args.t, None, cfg, n_max=args.nmax,
-                                        threads=_threads(args))
+        est = branching_mc.estimate_pmf(spec, args.t, None, cfg, n_max=args.nmax)
         rows = [(c, est.pmf.get(c, (0.0, 0.0))) for c in compositions_up_to(spec.m, args.nmax)]
         write_distribution_csv(args.out, spec.m, rows, value_headers=("freq", "se"))
         summary.update(replicates=args.replicates, population_cap=args.cap, seed=args.seed,
@@ -252,8 +231,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
     mc_cfg = branching_mc.McConfig(replicates=args.mc_replicates, population_cap=args.cap,
                                    seed=args.seed, root=branching_mc.RANDOM_ROOT)
-    est = branching_mc.estimate_pmf(spec, args.t, None, mc_cfg, n_max=args.nmax,
-                                    threads=_threads(args))
+    est = branching_mc.estimate_pmf(spec, args.t, None, mc_cfg, n_max=args.nmax)
     # mixture over root types: P(T = n) = |n| * w_n
     worst_z = 0.0
     worst_cell = None
@@ -310,8 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--replicates", type=int, default=100_000)
     s.add_argument("--cap", type=int, default=100_000, help="MC population cap")
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--threads", type=int, default=None,
-                   help="MC worker threads (default: COAG_THREADS, else the usable CPU count)")
     s.set_defaults(func=cmd_solve)
 
     l = sub.add_parser("localize", help="minimize the rate function over directions")
@@ -338,8 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--mc-sigma", type=float, default=4.0, help="allowed |z| per checked cell")
     c.add_argument("--mc-floor", type=float, default=1e-3,
                    help="only check cells with analytic probability >= this")
-    c.add_argument("--threads", type=int, default=None,
-                   help="MC worker threads (default: COAG_THREADS, else the usable CPU count)")
     c.set_defaults(func=cmd_compare)
     return parser
 

@@ -191,8 +191,13 @@ class ModelSpec:
 
     @classmethod
     def from_json(cls, path: str) -> "ModelSpec":
+        """The spec in a JSON file; SpecValidationError if it is not valid UTF-8 JSON."""
         with open(path, encoding="utf-8") as f:
-            return cls.from_json_dict(json.load(f))
+            try:
+                data = json.load(f)
+            except ValueError as e:  # malformed JSON or not UTF-8
+                raise SpecValidationError(f"{path} is not valid JSON: {e}") from None
+        return cls.from_json_dict(data)
 
     def spec_hash(self) -> str:
         """sha256 of the canonical JSON form, for run manifests."""

@@ -24,10 +24,10 @@ The FFT leaves rounding noise of about 1e-16 times the largest term in
 every cell, so cells where the pair sum is exactly zero are masked: a second
 convolution, of the support indicators against the positivity pattern of
 A, counts the nonzero terms of each cell (exactly, as nothing aliases), and
-is recomputed only when the support changes.  The loss term uses the frozen
-initial mass vector p (reduced form) or the instantaneous windowed mass
-vector (full form); both are exact matrix-vector products because the
-kernel is bilinear.
+along a trajectory is recomputed only when the support grows.  The loss
+term uses the frozen initial mass vector p (reduced form) or the
+instantaneous windowed mass vector (full form); both are exact
+matrix-vector products because the kernel is bilinear.
 """
 
 from __future__ import annotations
@@ -215,7 +215,6 @@ class _WindowOperator:
             (spec.A > 0.0).astype(float), (self.comp > 0.0).astype(float))
         self.convolutions = {rank: _Convolution(spec.m, window.n_max, rank)
                              for rank in {len(self.gain_lam), len(self.pattern_lam)}}
-        self._last_zeros: tuple[np.ndarray | None, np.ndarray | None] = (None, None)
         self._lock = threading.Lock()
 
     def _self_convolve(self, lam: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -226,14 +225,9 @@ class _WindowOperator:
     def gain_zeros(self, support: np.ndarray) -> np.ndarray:
         """Cells where every pair-sum term K(k,l) w_k w_l vanishes when supp(w) = support.
 
-        The last result is kept, since callers pass the same support many times.
+        Not cached: along a trajectory _TrajectoryRhs asks only when its support grows.
         """
-        cached, zeros = self._last_zeros
-        if cached is None or not np.array_equal(support, cached):
-            count = self._self_convolve(self.pattern_lam, self.pattern_proj * support)
-            zeros = count < 0.5
-            self._last_zeros = (support.copy(), zeros)
-        return zeros
+        return self._self_convolve(self.pattern_lam, self.pattern_proj * support) < 0.5
 
     def derivative(self, w: np.ndarray, zeros: np.ndarray) -> tuple[np.ndarray, float]:
         """Returns (dw/dt, outbound mass flux rate); the gain is set to 0 on `zeros`."""

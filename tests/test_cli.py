@@ -1,10 +1,8 @@
 from __future__ import annotations
 
-import argparse
 import csv
 import json
 import math
-import os
 import shutil
 import subprocess
 import sys
@@ -12,8 +10,8 @@ import sys
 import numpy as np
 import pytest
 
-from multicoag import borel_oracle, solve
-from multicoag import cli
+from multicoag import (ModelSpec, borel_oracle, branching_mc, compositions_up_to, solve,
+                       write_distribution_csv)
 from multicoag.cli import main
 
 
@@ -106,6 +104,30 @@ def test_solve_mc_seed_stable(spec_files, tmp_path):
     assert a.read_bytes() == b.read_bytes()
     header = a.read_text().splitlines()[0]
     assert header == "n_1,freq,se"
+
+
+def test_cli_runs_monte_carlo_without_a_thread_pool(spec_files, tmp_path, capsys, monkeypatch):
+    # 20,000 replicates are two lockstep groups, which threads=2 spreads over a pool
+    cfg = branching_mc.McConfig(replicates=20_000, population_cap=100_000, seed=5,
+                                root=branching_mc.RANDOM_ROOT)
+    est = branching_mc.estimate_pmf(ModelSpec.from_json(spec_files["bip"]), 0.7, None, cfg,
+                                    n_max=8, threads=2)
+    want = tmp_path / "want.csv"
+    write_distribution_csv(str(want), 2, [(c, est.pmf.get(c, (0.0, 0.0)))
+                                          for c in compositions_up_to(2, 8)],
+                           value_headers=("freq", "se"))
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("the CLI started a thread pool")
+
+    monkeypatch.setattr(branching_mc, "ThreadPoolExecutor", no_pool)
+    out = tmp_path / "w.csv"
+    assert main(["solve", spec_files["bip"], "--t", "0.7", "--nmax", "8", "--method", "mc",
+                 "--replicates", "20000", "--seed", "5", "--out", str(out)]) == 0
+    assert out.read_bytes() == want.read_bytes()
+    assert main(["compare", spec_files["bip"], "--t", "0.7", "--nmax", "8",
+                 "--mc-replicates", "20000", "--seed", "5"]) == 0
+    assert "verdict: PASS" in capsys.readouterr().out
 
 
 def test_solve_three_methods_agree(spec_files, tmp_path):
@@ -201,20 +223,6 @@ def test_compare_supercritical_exit_3(spec_files):
     assert main(["compare", spec_files["m1"], "--t", "1.5", "--nmax", "5"]) == 3
 
 
-def test_threads_env_fallback(spec_files, tmp_path, monkeypatch):
-    monkeypatch.setenv("COAG_THREADS", "2")
-    out = tmp_path / "w.csv"
-    assert main(["solve", spec_files["m1"], "--t", "0.4", "--nmax", "8",
-                 "--method", "mc", "--replicates", "10000", "--seed", "3",
-                 "--out", str(out)]) == 0
-    monkeypatch.setenv("COAG_THREADS", "1")
-    out2 = tmp_path / "w2.csv"
-    assert main(["solve", spec_files["m1"], "--t", "0.4", "--nmax", "8",
-                 "--method", "mc", "--replicates", "10000", "--seed", "3",
-                 "--out", str(out2)]) == 0
-    assert out.read_bytes() == out2.read_bytes()
-
-
 @pytest.mark.parametrize("method", ["mc", "ode"])
 @pytest.mark.parametrize("t", ["nan", "inf"])
 def test_solve_nonfinite_t_exit_2(spec_files, tmp_path, capsys, method, t):
@@ -236,29 +244,6 @@ def test_nonfinite_dt_exit_2(spec_files, tmp_path, capsys, dt):
     assert main(["compare", spec_files["m1"], "--t", "0.5", "--nmax", "5", "--dt", dt]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 2 and all("dt must be finite" in line for line in err)
-
-
-def test_default_threads_follow_cpu_affinity(monkeypatch):
-    # the CPUs this process may run on, not every CPU of the host; no thread is started
-    monkeypatch.delenv("COAG_THREADS", raising=False)
-    args = argparse.Namespace(threads=None)
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
-    assert cli._threads(args) == 3
-    monkeypatch.delattr(os, "sched_getaffinity")  # platforms without an affinity mask
-    assert cli._threads(args) == 64
-    assert cli._threads(argparse.Namespace(threads=2)) == 2
-
-
-def test_threads_env_not_an_integer_exit_2(spec_files, tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("COAG_THREADS", "abc")
-    out = tmp_path / "w.csv"
-    assert main(["solve", spec_files["m1"], "--t", "0.4", "--nmax", "5",
-                 "--method", "mc", "--replicates", "100", "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert len(err.strip().splitlines()) == 1
-    assert "COAG_THREADS" in err
-    assert not out.exists()
 
 
 M1_MODEL = '{"m": 1, "A": [[1.0]], "p": [1.0]}'
@@ -288,16 +273,11 @@ M1_MODEL = '{"m": 1, "A": [[1.0]], "p": [1.0]}'
     (M1_MODEL, ["solve", "--t", "0.5", "--nmax", "5", "--method", "mc", "--replicates", "10",
                 "--seed", "-1", "--out", "OUT"], False),
     (M1_MODEL, ["compare", "--t", "0.5", "--nmax", "5", "--seed", "-1"], False),
-    # a thread count below 1 is a fault, not a request for one thread
-    (M1_MODEL, ["solve", "--t", "0.5", "--nmax", "5", "--method", "mc", "--replicates", "10",
-                "--threads", "0", "--out", "OUT"], False),
-    (M1_MODEL, ["compare", "--t", "0.5", "--nmax", "5", "--threads", "-3"], False),
 ], ids=["non_object_json", "malformed_json", "m_not_an_integer", "m_fractional", "m_boolean",
         "rate_check_not_numbers", "n_list_not_numbers", "n_list_fractional",
         "rate_out_without_rate_check", "nmax_0",
         "t_nan", "dt_inf", "ode_t_0", "analytic_t_negative", "mc_t_negative", "compare_t_0",
-        "localize_t_0", "localize_t_negative", "mc_seed_negative", "compare_seed_negative",
-        "mc_threads_0", "compare_threads_negative"])
+        "localize_t_0", "localize_t_negative", "mc_seed_negative", "compare_seed_negative"])
 def test_input_faults_exit_2_with_one_line(tmp_path, capsys, model, args, model_fault):
     # exit 1 is the compare verdict FAIL; only model-file faults read as a model error
     spec = tmp_path / "model.json"

@@ -287,6 +287,15 @@ def test_spec_json_roundtrip_and_hash(m3_spec, tmp_path):
     assert other.spec_hash() != m3_spec.spec_hash()
 
 
+@pytest.mark.parametrize("payload", [b'{"m": 1, "A": [[1.0]], "p": [1.', b'{"m": 1, "\xff": 0}'],
+                         ids=["truncated", "not_utf8"])
+def test_spec_from_json_rejects_a_malformed_file(tmp_path, payload):
+    path = tmp_path / "spec.json"
+    path.write_bytes(payload)
+    with pytest.raises(SpecValidationError, match="not valid JSON"):
+        ModelSpec.from_json(path)
+
+
 def test_window_masses_is_a_read_only_mapping():
     comps = compositions_up_to(2, 3)
     values = np.arange(1.0, len(comps) + 1.0)
