@@ -45,7 +45,6 @@ class McConfig:
     replicates: int = 10_000
     population_cap: int = 100_000
     seed: int = 0
-    root: int | str = RANDOM_ROOT
 
     def __post_init__(self) -> None:
         for name in ("replicates", "population_cap"):
@@ -53,7 +52,6 @@ class McConfig:
         object.__setattr__(self, "seed", _whole_number("seed", self.seed))
         if self.seed < 0:
             raise SpecValidationError(f"seed must be >= 0, got {self.seed}")
-        object.__setattr__(self, "root", _root_index(self.root))
 
 
 @dataclass
@@ -70,20 +68,15 @@ class McPmfEstimate:
         return self.pmf.get(tuple(n), (0.0, 0.0))
 
 
-def _root_index(root) -> int | str:
-    """RANDOM_ROOT, or the root as an int when it is a non-boolean integer >= 0."""
-    if isinstance(root, str) and root == RANDOM_ROOT:
+def _resolve_root(spec: ModelSpec, root: int | str | None) -> int | str:
+    """RANDOM_ROOT for None or RANDOM_ROOT (the root type drawn from p), or the
+    root as an int when it is a non-boolean integer type index of spec."""
+    if root is None or (isinstance(root, str) and root == RANDOM_ROOT):
         return RANDOM_ROOT
-    if isinstance(root, bool) or not isinstance(root, (int, np.integer)) or root < 0:
-        raise SpecValidationError(f"root must be {RANDOM_ROOT!r} or a type index >= 0, got {root!r}")
+    if isinstance(root, bool) or not isinstance(root, (int, np.integer)) or not 0 <= root < spec.m:
+        raise SpecValidationError(
+            f"root must be {RANDOM_ROOT!r} or a type index in [0, {spec.m}), got {root!r}")
     return int(root)
-
-
-def _resolve_root(spec: ModelSpec, root: int | str | None, config: McConfig) -> int | str:
-    r = _root_index(config.root if root is None else root)
-    if r != RANDOM_ROOT and r >= spec.m:
-        raise SpecValidationError(f"root type {r} out of range")
-    return r
 
 
 def _simulate_blocks(spec: ModelSpec, t: float, root: int | str, cap: int, seed: int,
@@ -162,7 +155,7 @@ def sample_progeny_batch(spec: ModelSpec, t: float, root: int | str | None,
     the group width.  Groups of GROUP_BLOCKS blocks advance in lockstep and
     write straight into their rows of the result; threads take whole groups.
     """
-    t, r, threads = _time("t", t), _resolve_root(spec, root, config), _count("threads", threads)
+    t, r, threads = _time("t", t), _resolve_root(spec, root), _count("threads", threads)
     counts = np.zeros((config.replicates, spec.m), dtype=np.int64)
     censored = np.zeros(config.replicates, dtype=bool)
     _run_groups(spec, t, r, config, threads, lambda rows: (counts[rows], censored[rows]))
@@ -203,7 +196,7 @@ def estimate_pmf(spec: ModelSpec, t: float, root: int | str | None, config: McCo
     result equals tabulating sample_progeny_batch's arrays.
     """
     n_max = _count("n_max", n_max)
-    t, r, threads = _time("t", t), _resolve_root(spec, root, config), _count("threads", threads)
+    t, r, threads = _time("t", t), _resolve_root(spec, root), _count("threads", threads)
 
     def fresh(rows: slice) -> tuple[np.ndarray, np.ndarray]:
         size = rows.stop - rows.start

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -37,6 +36,8 @@ from .model import (
     ModelSpec,
     SizeDistribution,
     WindowMasses,
+    _count,
+    _time,
     compositions_up_to,
     mass_vector,
     scatter_window,
@@ -70,20 +71,25 @@ class RunManifest:
 
 
 def _check_args(args: argparse.Namespace) -> None:
-    """Argument faults, found before any work and named by their option (exit 2)."""
-    t, dt = getattr(args, "t", None), getattr(args, "dt", None)
-    if t is not None:  # t = 0 is the initial state, which only analytic and mc can emit
-        if args.command == "solve" and args.method != "ode":
-            if not (math.isfinite(t) and t >= 0.0):
-                raise CoagulationError(f"--t must be finite and >= 0, got {t!r}")
-        elif not (math.isfinite(t) and t > 0.0):
-            raise CoagulationError(f"--t must be finite and > 0, got {t!r}")
-    if dt is not None and not (math.isfinite(dt) and dt > 0.0):
-        raise CoagulationError(f"--dt must be finite and > 0, got {dt!r}")
-    for name in ("nmax", "replicates", "mc_replicates", "cap"):
-        count = getattr(args, name, None)
-        if count is not None and count < 1:
-            raise CoagulationError(f"--{name.replace('_', '-')} must be >= 1, got {count}")
+    """Argument faults, found before any work and named by their option (exit 2);
+    times, steps, tolerances and counts go through the library's own checks."""
+    # t = 0 is the initial state, which only analytic and mc can emit
+    zero_t = args.command == "solve" and args.method != "ode"
+    try:
+        for name, positive in (("t", not zero_t), ("dt", True), ("tol_ode", True),
+                               ("deficit_tol", True), ("mc_sigma", True)):
+            value = getattr(args, name, None)
+            if value is not None:
+                _time("--" + name.replace("_", "-"), value, positive)
+        for name in ("nmax", "replicates", "mc_replicates", "cap"):
+            count = getattr(args, name, None)
+            if count is not None:
+                _count("--" + name.replace("_", "-"), count)
+    except SpecValidationError as e:  # the fault is in an argument, not in the model
+        raise CoagulationError(str(e)) from None
+    floor = getattr(args, "mc_floor", None)
+    if floor is not None and not 0.0 < floor <= 1.0:
+        raise CoagulationError(f"--mc-floor must be in (0, 1], got {floor!r}")
     seed = getattr(args, "seed", None)
     if seed is not None and seed < 0:  # SeedSequence takes no negative entropy
         raise CoagulationError(f"--seed must be >= 0, got {seed}")
@@ -166,7 +172,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     else:  # mc
         seed = args.seed
         cfg = branching_mc.McConfig(replicates=args.replicates, population_cap=args.cap,
-                                    seed=args.seed, root=branching_mc.RANDOM_ROOT)
+                                    seed=args.seed)
         est = branching_mc.estimate_pmf(spec, args.t, None, cfg, n_max=args.nmax)
         rows = [(c, est.pmf.get(c, (0.0, 0.0))) for c in compositions_up_to(spec.m, args.nmax)]
         write_distribution_csv(args.out, spec.m, rows, value_headers=("freq", "se"))
@@ -230,7 +236,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     trunc_ok = snap.deficit <= args.deficit_tol
 
     mc_cfg = branching_mc.McConfig(replicates=args.mc_replicates, population_cap=args.cap,
-                                   seed=args.seed, root=branching_mc.RANDOM_ROOT)
+                                   seed=args.seed)
     est = branching_mc.estimate_pmf(spec, args.t, None, mc_cfg, n_max=args.nmax)
     # mixture over root types: P(T = n) = |n| * w_n
     worst_z = 0.0

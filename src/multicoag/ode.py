@@ -21,13 +21,14 @@ N_max = 20 the grid is 350 x 40 points, against 21 x 21 x 40 with one axis
 per coordinate and the (2 N_max)^3 of a plain box.
 
 The FFT leaves rounding noise of about 1e-16 times the largest term in
-every cell, so cells where the pair sum is exactly zero are masked: a second
-convolution, of the support indicators against the positivity pattern of
-A, counts the nonzero terms of each cell (exactly, as nothing aliases), and
-along a trajectory is recomputed only when the support grows.  The loss
+every cell, so cells where the pair sum is exactly zero are masked: the
+same convolution, of the support indicators against the positivity pattern
+of A, counts the nonzero terms of each cell (exactly, as nothing aliases),
+and along a trajectory is recomputed only when the support grows.  The loss
 term uses the frozen initial mass vector p (reduced form) or the
 instantaneous windowed mass vector (full form); both are exact
-matrix-vector products because the kernel is bilinear.
+matrix-vector products because the kernel is bilinear.  The gain does not
+depend on the form, so one operator per (spec, window) serves both.
 """
 
 from __future__ import annotations
@@ -154,7 +155,7 @@ def _modular_axis(m: int, n_max: int) -> tuple[int, tuple[int, ...]]:
 
 
 class _Convolution:
-    """sum_r lam_r (u_r * u_r) on one window, for u of one rank, by one FFT.
+    """sum_r lam_r (u_r * u_r) on one window, for u of up to `rank` ranks, by one FFT.
 
     The grid is (rank, Q, L): a cell n sits at (a . n' mod Q, |n|), with
     n' = (n_1, ..., n_{m-1}) and (Q, a) from _modular_axis, and the size axis
@@ -166,7 +167,8 @@ class _Convolution:
     the map is one-to-one, so it lands on n only if k + l = n.  The same holds
     for the support count behind gain_zeros.  Buffers and the cell index are
     built here once, so a call only scatters, transforms in place and
-    multiplies.  Not safe for concurrent calls: the owner serializes them.
+    multiplies; a call with r ranks works on the first r slabs.  Not safe for
+    concurrent calls: the owner serializes them.
     """
 
     def __init__(self, m: int, n_max: int, rank: int):
@@ -177,17 +179,18 @@ class _Convolution:
         self.index = key * self.size + states.sum(axis=1)  # flat (key, |n|) on a (q, size) grid
         self.grid = np.zeros((rank, q, self.size))
         self.flat = self.grid.reshape(-1)
-        # every rank's cells, flat: one 1-D scatter is faster than a 2-D one
+        # every rank's cells, flat and rank by rank: one 1-D scatter is faster than a 2-D one
         self.scatter = (np.arange(rank)[:, None] * self.grid[0].size + self.index).ravel()
         self.spectrum = np.empty((rank, q, self.size // 2 + 1), complex)
         self.total = np.empty(self.spectrum.shape[1:], complex)
         self.out = np.empty((q, self.size))
 
     def __call__(self, lam: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """The sum on the window cells, for u of shape (rank, cells)."""
-        self.flat[self.scatter] = u.reshape(-1)
+        """The sum on the window cells, for u of shape (r, cells), r = len(lam) <= rank."""
+        r = len(lam)
+        self.flat[self.scatter[:r * len(self.index)]] = u.reshape(-1)
         modular = len(self.total) > 1  # a length-1 transform (m = 1) is the identity
-        x = np.fft.rfft(self.grid, n=self.size, axis=-1, out=self.spectrum)
+        x = np.fft.rfft(self.grid[:r], n=self.size, axis=-1, out=self.spectrum[:r])
         if modular:
             np.fft.fft(x, axis=1, out=x)
         x *= x
@@ -200,44 +203,36 @@ class _Convolution:
 
 
 class _WindowOperator:
-    """Dense right-hand side over one window, for one spec and form."""
+    """Dense right-hand side over one window, for one spec and either loss form."""
 
-    def __init__(self, spec: ModelSpec, window: TruncationWindow, form: str):
-        if form not in FORMS:
-            raise SpecValidationError(f"form must be one of {FORMS}")
+    def __init__(self, spec: ModelSpec, window: TruncationWindow):
         self.spec = spec
-        self.form = form
         self.comp = _window_array(spec.m, window.n_max).astype(float)
         self.sizes = self.comp.sum(axis=1)
         self.loss_reduced = self.comp @ (spec.A @ spec.p)
         self.gain_lam, self.gain_proj = _quadratic_form(spec.A, self.comp)
         self.pattern_lam, self.pattern_proj = _quadratic_form(
             (spec.A > 0.0).astype(float), (self.comp > 0.0).astype(float))
-        self.convolutions = {rank: _Convolution(spec.m, window.n_max, rank)
-                             for rank in {len(self.gain_lam), len(self.pattern_lam)}}
+        # one set of buffers for the gain and the zero mask, sized for the larger rank
+        self.convolution = _Convolution(spec.m, window.n_max,
+                                        max(len(self.gain_lam), len(self.pattern_lam)))
         self._lock = threading.Lock()
-
-    def _self_convolve(self, lam: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """sum_r lam_r (u_r * u_r) on the window cells, for u of shape (rank, cells)."""
-        with self._lock:
-            return self.convolutions[len(lam)](lam, u)
 
     def gain_zeros(self, support: np.ndarray) -> np.ndarray:
         """Cells where every pair-sum term K(k,l) w_k w_l vanishes when supp(w) = support.
 
         Not cached: along a trajectory _TrajectoryRhs asks only when its support grows.
         """
-        return self._self_convolve(self.pattern_lam, self.pattern_proj * support) < 0.5
+        with self._lock:
+            return self.convolution(self.pattern_lam, self.pattern_proj * support) < 0.5
 
-    def derivative(self, w: np.ndarray, zeros: np.ndarray) -> tuple[np.ndarray, float]:
-        """Returns (dw/dt, outbound mass flux rate); the gain is set to 0 on `zeros`."""
-        gain = 0.5 * self._self_convolve(self.gain_lam, self.gain_proj * w)
+    def derivative(self, w: np.ndarray, zeros: np.ndarray, form: str) -> tuple[np.ndarray, float]:
+        """Returns (dw/dt, outbound mass flux rate) in `form`; the gain is 0 on `zeros`."""
+        with self._lock:
+            gain = 0.5 * self.convolution(self.gain_lam, self.gain_proj * w)
         gain[zeros] = 0.0
         mw = self.comp.T @ w
-        if self.form == "full":
-            loss_rate = self.comp @ (self.spec.A @ mw)
-        else:
-            loss_rate = self.loss_reduced
+        loss_rate = self.comp @ (self.spec.A @ mw) if form == "full" else self.loss_reduced
         # total merge mass throughput minus the part landing inside the window
         q = self.comp.T @ (w * self.sizes)
         flux = float(q @ (self.spec.A @ mw) - self.sizes @ gain)
@@ -245,8 +240,8 @@ class _WindowOperator:
 
 
 @lru_cache(maxsize=8)
-def _operator(spec: ModelSpec, n_max: int, form: str) -> _WindowOperator:
-    return _WindowOperator(spec, TruncationWindow(n_max), form)
+def _operator(spec: ModelSpec, n_max: int) -> _WindowOperator:
+    return _WindowOperator(spec, TruncationWindow(n_max))
 
 
 def derivative(spec: ModelSpec, dist: SizeDistribution, window: TruncationWindow,
@@ -254,11 +249,14 @@ def derivative(spec: ModelSpec, dist: SizeDistribution, window: TruncationWindow
     """Right-hand side dw/dt of the truncated system at one sparse state.
 
     The distribution must be supported inside the window (else
-    SpecValidationError).  Returns dw/dt at every window cell, zeros included.
+    SpecValidationError), and form one of FORMS.  Returns dw/dt at every
+    window cell, zeros included.
     """
-    op = _operator(spec, window.n_max, form)
+    if form not in FORMS:
+        raise SpecValidationError(f"form must be one of {FORMS}")
+    op = _operator(spec, window.n_max)
     w = scatter_window(spec.m, window.n_max, dist.entries)
-    dw, _ = op.derivative(w, op.gain_zeros(w != 0.0))
+    dw, _ = op.derivative(w, op.gain_zeros(w != 0.0), form)
     return WindowMasses(spec.m, window.n_max, dw)
 
 
@@ -273,8 +271,8 @@ class _TrajectoryRhs:
     one gain_zeros call each time the union grows.
     """
 
-    def __init__(self, op: _WindowOperator):
-        self.op = op
+    def __init__(self, op: _WindowOperator, form: str):
+        self.op, self.form = op, form
         self.seen = np.zeros(len(op.comp), dtype=bool)
         self.zeros = np.ones(len(op.comp), dtype=bool)
         self.rebuilds = 0
@@ -285,7 +283,7 @@ class _TrajectoryRhs:
             self.seen[nonzero] = True
             self.zeros = self.op.gain_zeros(self.seen)
             self.rebuilds += 1
-        return self.op.derivative(w, self.zeros)
+        return self.op.derivative(w, self.zeros, self.form)
 
 
 def integrate(spec: ModelSpec, window: TruncationWindow, config: OdeConfig,
@@ -306,8 +304,8 @@ def integrate(spec: ModelSpec, window: TruncationWindow, config: OdeConfig,
     if not all(0.0 <= r <= t_end for r in records) or sorted(records) != records:
         raise SpecValidationError("record_times must be sorted within [0, t_end]")
 
-    op = _operator(spec, window.n_max, config.form)
-    rhs = _TrajectoryRhs(op)
+    op = _operator(spec, window.n_max)
+    rhs = _TrajectoryRhs(op, config.form)
     w = scatter_window(spec.m, window.n_max, SizeDistribution.monodisperse(spec).entries)
     mass0 = float(spec.p.sum())
     clipped = np.zeros(len(w), dtype=bool)

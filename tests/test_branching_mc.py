@@ -72,19 +72,10 @@ def test_root_must_be_random_or_a_type_index(two_type_spec, root):
                  lambda: estimate_pmf(two_type_spec, 0.3, root, cfg, n_max=5)):
         with pytest.raises(SpecValidationError, match="root"):
             call()
-    if root != two_type_spec.m:  # the type count is known only once a spec is given
-        with pytest.raises(SpecValidationError, match="root"):
-            McConfig(root=root)
-    else:
-        with pytest.raises(SpecValidationError, match="root"):
-            sample_progeny_batch(two_type_spec, 0.3, None, McConfig(replicates=1, root=root))
 
 
-@pytest.mark.parametrize("root", [0, "random"], ids=str)
+@pytest.mark.parametrize("root", [0, "random", None], ids=str)
 def test_valid_roots_still_sample(two_type_spec, root):
-    cfg = McConfig(replicates=1, root=root)
-    assert cfg.root == root
-    assert sample_progeny_batch(two_type_spec, 0.3, None, cfg)[0].sum() >= 1
     assert sample_progeny_batch(two_type_spec, 0.3, root, McConfig(replicates=1))[0].sum() >= 1
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import shutil
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import sys
 import numpy as np
 import pytest
 
+import multicoag
 from multicoag import (ModelSpec, borel_oracle, branching_mc, compositions_up_to, solve,
                        write_distribution_csv)
 from multicoag.cli import main
@@ -108,8 +110,7 @@ def test_solve_mc_seed_stable(spec_files, tmp_path):
 
 def test_cli_runs_monte_carlo_without_a_thread_pool(spec_files, tmp_path, capsys, monkeypatch):
     # 20,000 replicates are two lockstep groups, which threads=2 spreads over a pool
-    cfg = branching_mc.McConfig(replicates=20_000, population_cap=100_000, seed=5,
-                                root=branching_mc.RANDOM_ROOT)
+    cfg = branching_mc.McConfig(replicates=20_000, population_cap=100_000, seed=5)
     est = branching_mc.estimate_pmf(ModelSpec.from_json(spec_files["bip"]), 0.7, None, cfg,
                                     n_max=8, threads=2)
     want = tmp_path / "want.csv"
@@ -273,11 +274,25 @@ M1_MODEL = '{"m": 1, "A": [[1.0]], "p": [1.0]}'
     (M1_MODEL, ["solve", "--t", "0.5", "--nmax", "5", "--method", "mc", "--replicates", "10",
                 "--seed", "-1", "--out", "OUT"], False),
     (M1_MODEL, ["compare", "--t", "0.5", "--nmax", "5", "--seed", "-1"], False),
+    # a threshold that no gap, z or deficit can meet or that every one meets
+    (M1_MODEL, ["compare", "--t", "0.5", "--nmax", "5", "--tol-ode", "nan"], False),
+    (M1_MODEL, ["compare", "--t", "0.5", "--nmax", "5", "--tol-ode", "-1"], False),
+    (M1_MODEL, ["compare", "--t", "0.5", "--nmax", "5", "--mc-sigma", "-1"], False),
+    (M1_MODEL, ["compare", "--t", "0.5", "--nmax", "5", "--mc-sigma", "inf"], False),
+    (M1_MODEL, ["compare", "--t", "0.5", "--nmax", "5", "--deficit-tol", "nan"], False),
+    (M1_MODEL, ["compare", "--t", "0.5", "--nmax", "5", "--deficit-tol", "-0.5"], False),
+    # a floor above 1 checks no cell; one at 0 or nan checks the structural zeros too
+    (M1_MODEL, ["compare", "--t", "0.5", "--nmax", "5", "--mc-floor", "2"], False),
+    (M1_MODEL, ["compare", "--t", "0.5", "--nmax", "5", "--mc-floor", "nan"], False),
+    (M1_MODEL, ["compare", "--t", "0.5", "--nmax", "5", "--mc-floor", "0"], False),
 ], ids=["non_object_json", "malformed_json", "m_not_an_integer", "m_fractional", "m_boolean",
         "rate_check_not_numbers", "n_list_not_numbers", "n_list_fractional",
         "rate_out_without_rate_check", "nmax_0",
         "t_nan", "dt_inf", "ode_t_0", "analytic_t_negative", "mc_t_negative", "compare_t_0",
-        "localize_t_0", "localize_t_negative", "mc_seed_negative", "compare_seed_negative"])
+        "localize_t_0", "localize_t_negative", "mc_seed_negative", "compare_seed_negative",
+        "tol_ode_nan", "tol_ode_negative", "mc_sigma_negative", "mc_sigma_inf",
+        "deficit_tol_nan", "deficit_tol_negative", "mc_floor_above_1", "mc_floor_nan",
+        "mc_floor_0"])
 def test_input_faults_exit_2_with_one_line(tmp_path, capsys, model, args, model_fault):
     # exit 1 is the compare verdict FAIL; only model-file faults read as a model error
     spec = tmp_path / "model.json"
@@ -297,6 +312,23 @@ def test_console_script_installed(spec_files):
     proc = subprocess.run(["multicoag", "--version"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert "multicoag" in proc.stdout
+
+
+def test_runs_uninstalled_as_a_module(spec_files):
+    # python -m multicoag with src on the path: the command line without pip install
+    src = os.path.dirname(os.path.dirname(multicoag.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "multicoag", *args], capture_output=True,
+                              text=True, env=env)
+
+    version = run("--version")
+    assert version.returncode == 0
+    assert version.stdout.strip() == f"multicoag {multicoag.__version__}"
+    gelation = run("gelation", spec_files["m1"])
+    assert gelation.returncode == 0 and gelation.stderr == ""
+    assert json.loads(gelation.stdout)["T_c"] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_missing_spec_file_exit_2(tmp_path):

@@ -164,6 +164,63 @@ def test_minimum_nonnegative_and_decreasing_toward_gel(m3_spec, asym2_spec):
         assert values[0] > values[1] > values[2]
 
 
+def test_minimize_gamma_flags_a_vertex_minimum():
+    # with a diagonal A, sigma_l = rho_l A_ll p_l and Gamma is linear in rho, so its
+    # minimum over the simplex is the vertex of the largest t A_ll p_l, here e_3
+    spec = ModelSpec(m=3, A=np.diag([1.0, 2.0, 3.0]), p=[0.2, 0.3, 0.5])
+    t = 0.5 * gelation_time(spec).T_c
+    res = minimize_gamma(spec, t)
+    assert res.boundary_minimum and not res.converged
+    assert int(np.argmax(res.rho_star)) == 2
+    # measured 0.1931487 against Gamma(e_3) = ln 2 - 1/2 = 0.1931472
+    assert abs(res.gamma_min - gamma(spec, t, [0.0, 0.0, 1.0])) <= 1e-5
+
+
+def test_minimize_gamma_flags_a_reducible_boundary_minimum(red3_spec):
+    # type 2 meets neither 0 nor 1, and the minimum leaves it out: measured
+    # rho* = (0.655, 0.345, 9.6e-15) after 281 iterations
+    res = minimize_gamma(red3_spec, 0.5 * gelation_time(red3_spec).T_c)
+    assert res.boundary_minimum and not res.converged
+    assert res.rho_star[2] < 1e-14 and min(res.rho_star[:2]) > 0.3
+
+
+def _critical_instances():
+    yield from ("asym2_spec", "m3_spec", "two_type_spec")
+    rng = np.random.default_rng(5)
+    a = rng.uniform(0.2, 2.0, size=(5, 5))
+    yield ModelSpec(m=5, A=a + a.T, p=rng.dirichlet(np.full(5, 2.0)))
+
+
+@pytest.mark.parametrize("instance", list(_critical_instances()),
+                         ids=lambda i: i if isinstance(i, str) else "random m=5")
+def test_minimizer_tends_to_the_perron_direction_at_gelation(request, instance):
+    """Gamma = 0 only at rho = t diag(p) A rho, so on an irreducible instance
+    rho* tends to the Perron vector v of diag(p) A (summing to 1) as t -> T_c,
+    |rho* - v| linearly in eps = 1 - t/T_c and Gamma_min quadratically.
+
+    Measured |rho* - v|_inf / eps: 0.037 (asym2), 0.135 (m3), 0.237 (two_type)
+    and 0.052 (m=5) at both eps, against the bound 0.3 (margin 1.27x at
+    two_type); Gamma_min / eps^2: 0.464 to 0.498, against [0.4, 0.6]
+    (margin 1.16x at two_type); and the ratios of both between eps = 1e-2
+    and 1e-3 within 0.7% of 10 and 100, against +-10%.
+    """
+    spec = request.getfixturevalue(instance) if isinstance(instance, str) else instance
+    tc = gelation_time(spec).T_c
+    lam, vecs = np.linalg.eig(spec.p[:, None] * spec.A)
+    v = vecs[:, np.argmax(lam.real)].real
+    v /= v.sum()
+    dev, gam = [], []
+    for eps in (1e-2, 1e-3):
+        res = minimize_gamma(spec, (1.0 - eps) * tc)
+        assert res.converged and not res.boundary_minimum
+        dev.append(float(np.max(np.abs(res.rho_star - v))))
+        gam.append(res.gamma_min)
+        assert dev[-1] <= 0.3 * eps
+        assert 0.4 * eps**2 <= gam[-1] <= 0.6 * eps**2
+    assert 9.0 <= dev[0] / dev[1] <= 11.0
+    assert 90.0 <= gam[0] / gam[1] <= 110.0
+
+
 def test_empirical_rate_m1(m1_spec):
     target = 0.5 - 1.0 - math.log(0.5)
     seq = empirical_rate(m1_spec, 0.5, [1.0], [50, 100, 200, 400])

@@ -12,16 +12,21 @@ A window holds only |n| <= N.  The shells S_k = sum_{|n|=k} |n|^2 w_n decay
 by a ratio that rises towards exp(-Gamma_min(t)), the minimum of the
 localization rate function, so the geometric series from the last shell
 bounds what the window misses of each moment.
+
+Monte Carlo sees every cluster, not only a window: with the root type drawn
+from p, P(T = n) = |n| w_n, so E[T T^T / |T|] = M2(t) over all replicates.
 """
 
 from __future__ import annotations
 
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 
 from multicoag import (
+    McConfig,
     ModelSpec,
     OdeConfig,
     TruncationWindow,
@@ -29,11 +34,13 @@ from multicoag import (
     gelation_time,
     integrate,
     minimize_gamma,
+    sample_progeny_batch,
     solve_window,
 )
 from conftest import random_subcritical_instance
 
 ROUNDING = 1e-13  # relative allowance of a window sum of up to 302,620 cells
+MC_FAMILY_RATE = 1e-6  # chance that a correct sampler fails the M2 gate at a given seed
 
 
 def closed_form(spec: ModelSpec, t: float) -> tuple[float, np.ndarray]:
@@ -82,6 +89,29 @@ def test_reduced_ode_window_second_moment_matches_the_closed_form(request, fixtu
     gap = want - m2
     assert np.all(gap >= -1e-11 * np.abs(want)), gap
     assert np.all(gap <= tail + 1e-11 * np.abs(want)), (gap, tail)
+
+
+@pytest.mark.parametrize("fixture", ["asym2_spec", "m3_spec"])
+def test_monte_carlo_second_moment_matches_the_closed_form(request, fixture):
+    """Mean of T T^T / |T| over 200,000 replicates against M2, entry by entry.
+
+    Each distinct entry gets a two-sided z-test at the Bonferroni limit for a
+    family-wise rate of MC_FAMILY_RATE, so a correct sampler fails this test
+    at about one seed in a million.  The seed is fixed (7); there the worst
+    |z| is 1.22 (asym2, the README's demo) and 0.33 (m3), against limits of
+    5.10 and 5.23.  At 0.3 T_c and a cap of 10^5 no replicate is censored,
+    so the mean runs over all of them.
+    """
+    spec = request.getfixturevalue(fixture)
+    t = 0.3 * gelation_time(spec).T_c
+    counts, censored = sample_progeny_batch(spec, t, None, McConfig(200_000, 10**5, 7))
+    assert not censored.any()
+    rows, cols = np.triu_indices(spec.m)
+    x = counts[:, rows] * counts[:, cols] / counts.sum(axis=1)[:, None]
+    want = closed_form(spec, t)[1][rows, cols]
+    z = (x.mean(axis=0) - want) / (x.std(axis=0, ddof=1) / math.sqrt(len(x)))
+    limit = NormalDist().inv_cdf(1.0 - MC_FAMILY_RATE / (2 * len(rows)))
+    assert np.all(np.abs(z) <= limit), (z, limit)
 
 
 def _instances():

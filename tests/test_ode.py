@@ -52,7 +52,8 @@ def pair_sum_derivative(spec, dist, window, form):
 
 
 # Reference for ode._Convolution: the convolution before the modular axis, with
-# one circular axis per composition coordinate, kept verbatim.  The modular axis
+# one circular axis per composition coordinate, kept verbatim but for working on
+# the first len(lam) ranks of its buffers, as ode._Convolution does.  The modular axis
 # must give the same sums: bit for bit for m <= 2, where its grid is this one,
 # and within the pair-sum bound for m >= 3.
 class GradedBoxConvolution:
@@ -82,13 +83,14 @@ class GradedBoxConvolution:
         self.gather = np.ravel_multi_index(graded, self.out.shape)
 
     def __call__(self, lam: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """The sum on the window cells, for u of shape (rank, cells)."""
-        self.cells[:, self.scatter] = u
-        x = np.fft.rfft(self.grid, n=self.size, axis=-1, out=self.spectrum)
+        """The sum on the window cells, for u of shape (r, cells), r = len(lam) <= rank."""
+        r = len(lam)
+        self.cells[:r, self.scatter] = u
+        x = np.fft.rfft(self.grid[:r], n=self.size, axis=-1, out=self.spectrum[:r])
         for axis in range(1, x.ndim - 1):
             np.fft.fft(x, axis=axis, out=x)
         x *= x
-        x *= lam.reshape(self.lam_shape)
+        x *= lam.reshape((r,) + self.lam_shape[1:])
         np.sum(x, axis=0, out=self.total)
         for axis, g in enumerate(self.inverse[:-1]):
             np.fft.ifft(g, axis=axis, out=g)
@@ -116,6 +118,10 @@ M5_SPEC = ModelSpec(m=5, A=[[1.0, 0.4, 0.0, 0.7, 0.2], [0.4, 0.9, 0.5, 0.0, 0.3]
                              [0.0, 0.5, 0.6, 1.1, 0.0], [0.7, 0.0, 1.1, 0.2, 0.8],
                              [0.2, 0.3, 0.0, 0.8, 1.0]],
                     p=[0.3, 0.2, 0.2, 0.15, 0.15])
+# A has rank 2 and its positivity pattern rank 3: the gain uses two of the three
+# ranks that the window's one convolution holds for the zero mask
+LOW_RANK_SPEC = ModelSpec(m=3, A=[[1.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 1.0]],
+                          p=[0.3, 0.3, 0.4])
 
 
 def test_derivative_matches_pair_sum_oracle(m1_spec, bip_spec, asym2_spec, m3_spec, m4_spec):
@@ -124,7 +130,7 @@ def test_derivative_matches_pair_sum_oracle(m1_spec, bip_spec, asym2_spec, m3_sp
     # m3 at 10 folds its 66 points (n_1, n_2) onto a modular axis of 96, where one
     # axis per coordinate takes 12 x 12; m4 at 4 and m5 at 3 fold three and four
     for spec, n_max in ((m1_spec, 12), (bip_spec, 8), (asym2_spec, 8), (m3_spec, 5),
-                        (m3_spec, 10), (m4_spec, 4), (M5_SPEC, 3)):
+                        (m3_spec, 10), (m4_spec, 4), (M5_SPEC, 3), (LOW_RANK_SPEC, 8)):
         window = TruncationWindow(n_max)
         for _ in range(20):
             dist = random_sparse_distribution(rng, spec.m, n_max)
@@ -251,6 +257,19 @@ def test_modular_axis_snapshots_are_the_graded_box_ones(request, name, n_max, fo
         want = run()
     ode._operator.cache_clear()
     assert got == want
+
+
+def test_one_operator_per_window_serves_both_forms(asym2_spec):
+    # the gain is one convolution whatever closes the loss, so the form is no cache key
+    ode._operator.cache_clear()
+    for form in FORMS:
+        integrate(asym2_spec, TruncationWindow(40), OdeConfig(dt=1e-2, form=form), t_end=0.1)
+    assert ode._operator.cache_info().currsize == 1
+    # one set of FFT buffers per window, as deep as the larger of the two ranks
+    op = ode._operator(LOW_RANK_SPEC, 8)
+    assert (len(op.gain_lam), len(op.pattern_lam)) == (2, 3)
+    assert op.convolution.grid.shape[0] == op.convolution.spectrum.shape[0] == 3
+    ode._operator.cache_clear()
 
 
 def largest_pair_term(spec, comp, w, loss):
@@ -383,11 +402,13 @@ def test_integrate_validates_record_times(m1_spec):
                   OdeConfig(record_times=(0.2, 0.9)), t_end=0.5)
 
 
-def test_ode_config_validation():
+def test_ode_config_validation(m1_spec):
     with pytest.raises(SpecValidationError):
         OdeConfig(dt=-0.1)
     with pytest.raises(SpecValidationError):
         OdeConfig(form="frozen")
+    with pytest.raises(SpecValidationError, match="form"):
+        derivative(m1_spec, SizeDistribution.monodisperse(m1_spec), TruncationWindow(5), form="x")
     with pytest.raises(SpecValidationError):
         TruncationWindow(0)
 
