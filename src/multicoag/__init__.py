@@ -5,133 +5,50 @@ truncated ODE system, an exact combinatorial formula through a branching
 process, and direct Monte Carlo on that process), a spectral formula for
 the gelation time, and a convex rate-function minimization that finds
 the composition direction along which large clusters concentrate.
+
+``import multicoag`` loads no submodule: each public name loads its module
+on first use, so a caller pays only for the modules it runs.
 """
 
 from __future__ import annotations
 
+from importlib import import_module
+
 __version__ = "0.1.0"
 
-from .errors import (
-    CoagulationError,
-    ConvergenceError,
-    CriticalityError,
-    HypothesisError,
-    IntegrationError,
-    NumericalBreakdownError,
-    SpecValidationError,
+# (module, its public names), in the order of __all__; each oracle sits next
+# to the names it checks
+_PUBLIC = (
+    ("errors", ("CoagulationError", "ConvergenceError", "CriticalityError", "HypothesisError",
+                "IntegrationError", "NumericalBreakdownError", "SpecValidationError")),
+    ("model", ("Composition", "ModelSpec", "SizeDistribution", "ValidationReport",
+               "as_composition")),
+    ("oracles", ("borel_oracle",)),
+    ("model", ("composition_size", "compositions_up_to", "kernel", "mass_vector", "validate",
+               "write_distribution_csv")),
+    ("pgf", ("BlockCriticality", "FixedPointResult", "GelationReport", "gelation_time")),
+    ("oracles", ("pde_residual",)),
+    ("pgf", ("solve_fixed_point",)),
+    ("analytic", ("ProgenyValue", "progeny_pmf")),
+    ("oracles", ("series_oracle",)),
+    ("analytic", ("solve", "solve_detail", "solve_log", "solve_window")),
+    ("ode", ("OdeConfig", "OdeSnapshot", "TruncationWindow", "derivative", "integrate")),
+    ("branching_mc", ("McConfig", "McPmfEstimate", "estimate_pmf", "sample_progeny_batch")),
+    ("localization", ("LocalizationResult", "RateSequence", "as_simplex_point",
+                      "empirical_rate", "gamma", "gamma_gradient", "minimize_gamma", "sigma")),
 )
-from .model import (
-    Composition,
-    ModelSpec,
-    SizeDistribution,
-    ValidationReport,
-    as_composition,
-    composition_size,
-    compositions_up_to,
-    kernel,
-    mass_vector,
-    validate,
-    write_distribution_csv,
-)
-from .pgf import (
-    BlockCriticality,
-    FixedPointResult,
-    GelationReport,
-    gelation_time,
-    solve_fixed_point,
-)
-from .analytic import (
-    ProgenyValue,
-    progeny_pmf,
-    solve,
-    solve_detail,
-    solve_log,
-    solve_window,
-)
-from .ode import (
-    OdeConfig,
-    OdeSnapshot,
-    TruncationWindow,
-    derivative,
-    integrate,
-)
-from .branching_mc import (
-    McConfig,
-    McPmfEstimate,
-    estimate_pmf,
-    sample_progeny_batch,
-)
-from .localization import (
-    LocalizationResult,
-    RateSequence,
-    as_simplex_point,
-    empirical_rate,
-    gamma,
-    gamma_gradient,
-    minimize_gamma,
-    sigma,
-)
+_HOME = {name: module for module, names in _PUBLIC for name in names}
 
-__all__ = [
-    "__version__",
-    "CoagulationError",
-    "ConvergenceError",
-    "CriticalityError",
-    "HypothesisError",
-    "IntegrationError",
-    "NumericalBreakdownError",
-    "SpecValidationError",
-    "Composition",
-    "ModelSpec",
-    "SizeDistribution",
-    "ValidationReport",
-    "as_composition",
-    "borel_oracle",
-    "composition_size",
-    "compositions_up_to",
-    "kernel",
-    "mass_vector",
-    "validate",
-    "write_distribution_csv",
-    "BlockCriticality",
-    "FixedPointResult",
-    "GelationReport",
-    "gelation_time",
-    "pde_residual",
-    "solve_fixed_point",
-    "ProgenyValue",
-    "progeny_pmf",
-    "series_oracle",
-    "solve",
-    "solve_detail",
-    "solve_log",
-    "solve_window",
-    "OdeConfig",
-    "OdeSnapshot",
-    "TruncationWindow",
-    "derivative",
-    "integrate",
-    "McConfig",
-    "McPmfEstimate",
-    "estimate_pmf",
-    "sample_progeny_batch",
-    "LocalizationResult",
-    "RateSequence",
-    "as_simplex_point",
-    "empirical_rate",
-    "gamma",
-    "gamma_gradient",
-    "minimize_gamma",
-    "sigma",
-]
-
-
-_ORACLES = ("borel_oracle", "pde_residual", "series_oracle")
+__all__ = ["__version__", *_HOME]
 
 
 def __getattr__(name: str):
-    """Load multicoag.oracles, which the runtime never calls, on first use of an oracle."""
-    if name in _ORACLES:
-        from . import oracles
-        return getattr(oracles, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    """Load the module that defines a public name on its first use, and keep the name here."""
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return list(__all__)

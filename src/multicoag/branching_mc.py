@@ -27,7 +27,6 @@ and its censored count; the pmf is then one lexicographic sort of those rows.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,6 +139,8 @@ def _run_groups(spec: ModelSpec, t: float, root: int | str, config: McConfig, th
 
     groups = range(0, n_blocks, GROUP_BLOCKS)
     if threads > 1 and len(groups) > 1:
+        from concurrent.futures import ThreadPoolExecutor  # loaded only where a pool starts
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(run, groups))
     return [run(g) for g in groups]

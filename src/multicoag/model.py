@@ -9,7 +9,6 @@ Cluster-size distributions are sparse maps from compositions to masses.
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import math
 import numbers
@@ -29,6 +28,7 @@ Composition = tuple[int, ...]
 P_SUM_EXACT_TOL = 1e-12   # |sum(p) - 1| below this: accepted verbatim
 P_SUM_RENORM_TOL = 1e-6   # below this: renormalized with a warning; above: rejected
 MASS_FLOOR = 1e-300       # ODE snapshot entries below this read 0.0
+FORMS = ("reduced", "full")  # ODE loss term: frozen p, or the windowed mass vector
 
 
 def as_composition(n: Iterable[int], m: int | None = None) -> Composition:
@@ -201,6 +201,8 @@ class ModelSpec:
 
     def spec_hash(self) -> str:
         """sha256 of the canonical JSON form, for run manifests."""
+        import hashlib  # loads OpenSSL, which only manifests need
+
         canon = json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()
 

@@ -42,6 +42,7 @@ import numpy as np
 
 from .errors import IntegrationError, SpecValidationError
 from .model import (
+    FORMS,
     MASS_FLOOR,
     ModelSpec,
     SizeDistribution,
@@ -54,7 +55,6 @@ from .model import (
 
 NEGATIVE_MASS_TOL = -1e-10  # entries in [tol, 0) are clipped; below it is an error
 
-FORMS = ("reduced", "full")
 AXIS_MULTIPLIERS = 512  # _modular_axis tries c in 0, ..., 511 for each Q
 
 

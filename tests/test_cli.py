@@ -121,7 +121,8 @@ def test_cli_runs_monte_carlo_without_a_thread_pool(spec_files, tmp_path, capsys
     def no_pool(*args, **kwargs):
         raise AssertionError("the CLI started a thread pool")
 
-    monkeypatch.setattr(branching_mc, "ThreadPoolExecutor", no_pool)
+    # the library imports the pool class where it starts one, so the patch reaches it there
+    monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", no_pool)
     out = tmp_path / "w.csv"
     assert main(["solve", spec_files["bip"], "--t", "0.7", "--nmax", "8", "--method", "mc",
                  "--replicates", "20000", "--seed", "5", "--out", str(out)]) == 0
@@ -218,6 +219,20 @@ def test_compare_truncation_attribution(spec_files, capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert "attribution: truncation deficit" in out
+
+
+def test_compare_fails_when_no_cell_reaches_the_floor(spec_files, capsys):
+    # P(|T| = 1) = e^-0.3 = 0.74 is the largest cell probability, so no cell reaches 0.9
+    for floor in ("0.9", "1"):
+        code = main(["compare", spec_files["m1"], "--t", "0.3", "--nmax", "8",
+                     "--mc-replicates", "2000", "--mc-floor", floor])
+        out = capsys.readouterr().out.splitlines()
+        assert code == 1
+        assert out[0].endswith("-> PASS") and out[2].endswith("-> PASS")  # ode and deficit
+        assert " over 0 cells " in out[1] and out[1].endswith("-> FAIL")
+        assert out[-2] == (f"attribution: no cell reaches --mc-floor {floor}, so the Monte "
+                           "Carlo check covered nothing; lower --mc-floor")
+        assert out[-1] == "verdict: FAIL"
 
 
 def test_compare_supercritical_exit_3(spec_files):

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
+
+import pytest
 
 import multicoag
 
@@ -11,28 +14,69 @@ ORACLES = ("series_oracle", "borel_oracle", "pde_residual")  # in multicoag.orac
 
 PROBE = f"""
 import sys
+from importlib import import_module
 import multicoag
+print(sorted(m for m in sys.modules if m.startswith("multicoag.")))
+print(set(multicoag.__all__) <= set(dir(multicoag)))
 import multicoag.cli
 from multicoag import analytic
 print(sorted(m for m in ("scipy", "mpmath", "hypothesis", "multicoag.oracles") if m in sys.modules))
 print([n for n in multicoag.__all__ if not hasattr(multicoag, n)])
+print([n for n in multicoag.__all__[1:]
+       if getattr(multicoag, n) is not getattr(import_module("multicoag." + multicoag._HOME[n]), n)])
 print([n for n in {DROPPED!r}
        if n in multicoag.__all__ or hasattr(multicoag, n) or hasattr(analytic, n)])
 from multicoag import {", ".join(ORACLES)}
 print([f.__module__ for f in ({", ".join(ORACLES)})])
 """
 
+# Runs one command through main, then prints which of WATCHED it loaded.
+WATCHED = ("multicoag.analytic", "multicoag.localization", "multicoag.ode",
+           "multicoag.branching_mc", "concurrent.futures", "_hashlib")
+CLI_PROBE = f"""
+import json, sys
+from multicoag.cli import main
+code = main(sys.argv[1:])
+print(json.dumps([code, [m for m in {WATCHED!r} if m in sys.modules]]))
+"""
 
-def test_import_boundary():
+
+def _fresh_python(*args: str, cwd=None) -> subprocess.CompletedProcess:
     # a fresh interpreter: this one has already imported what the tests need
     src = os.path.dirname(os.path.dirname(multicoag.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    proc = subprocess.run([sys.executable, "-c", PROBE], capture_output=True, text=True,
-                          env=env, check=True)
-    not_loaded, unresolved, still_there, oracle_homes = proc.stdout.splitlines()
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, cwd=cwd,
+                          env=dict(os.environ, PYTHONPATH=path), check=True)
+
+
+def test_import_boundary():
+    proc = _fresh_python("-c", PROBE)
+    (submodules, all_in_dir, not_loaded, unresolved, moved, still_there,
+     oracle_homes) = proc.stdout.splitlines()
+    assert submodules == "[]"  # every public name loads its module on first use
+    assert all_in_dir == "True"
     assert not_loaded == "[]"  # checked before the __all__ loop, which loads the oracles
     assert unresolved == "[]"
+    assert moved == "[]"
     assert still_there == "[]"
     assert oracle_homes == str(["multicoag.oracles"] * len(ORACLES))
     assert set(ORACLES) <= set(multicoag.__all__)
+
+
+@pytest.mark.parametrize("argv, not_loaded", [
+    (["gelation", "demo.json"], WATCHED),
+    (["solve", "demo.json", "--t", "0.35", "--nmax", "6", "--method", "analytic",
+      "--out", "w.csv"], WATCHED[2:5]),
+    (["localize", "demo.json", "--t", "0.4"], WATCHED[2:]),
+    (["compare", "demo.json", "--t", "0.2", "--nmax", "8", "--mc-replicates", "2000"],
+     ("concurrent.futures",)),
+], ids=["gelation", "solve", "localize", "compare"])
+def test_each_command_loads_only_what_it_runs(tmp_path, argv, not_loaded):
+    # the modules a command never calls, the thread pool, and OpenSSL (which only
+    # manifests and numpy.random need) stay unloaded
+    (tmp_path / "demo.json").write_text(json.dumps(
+        {"m": 2, "A": [[1.0, 2.0], [2.0, 1.0]], "p": [0.7, 0.3]}))
+    proc = _fresh_python("-c", CLI_PROBE, *argv, cwd=tmp_path)
+    code, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0
+    assert not set(not_loaded) & set(loaded)
