@@ -20,19 +20,24 @@ drawing every row with the dead ones at rate 0.  A fixed-seed digest test
 (tests/test_branching_mc.py) pins the streams, and so catches a numpy
 release that changes its Poisson sampler.
 
-sample_progeny_batch returns every replicate.  estimate_pmf reduces each
-group as it finishes, in its worker, to the rows it tabulates, narrowed,
-and its censored count; the pmf is then one lexicographic sort of those rows.
+The lockstep buffers take one integer type per call, from _count_type:
+int32 while no live row can near 2**31, int64 otherwise.  sample_progeny_batch
+returns every replicate, as int64 counts.  estimate_pmf reduces each group as
+it finishes, in its worker, to the rows it tabulates, narrowed, and its
+censored count; the pmf is then one lexicographic sort of those rows, kept
+as three arrays (rows, frequencies, standard errors) behind a read-only
+mapping.
 """
 
 from __future__ import annotations
 
+from collections.abc import ItemsView, Iterator, Mapping, ValuesView
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SpecValidationError
-from .model import Composition, ModelSpec, _count, _time, _whole_number
+from .model import Composition, ModelSpec, _count, _time, _whole_number, as_composition
 
 BLOCK_SIZE = 4096
 GROUP_BLOCKS = 4  # blocks advanced in lockstep by one call of _simulate_blocks
@@ -53,18 +58,92 @@ class McConfig:
             raise SpecValidationError(f"seed must be >= 0, got {self.seed}")
 
 
+class _PmfTable(Mapping):
+    """Read-only map from each observed composition to (frequency, standard error).
+
+    Keys come in lexicographic order, as tuples of ints, but none is kept:
+    the table holds the distinct rows as narrow unsigned columns (m x k),
+    and the frequencies and standard errors as float64 arrays.  A lookup
+    narrows a run of rows one column at a time by binary search.
+    """
+
+    def __init__(self, rows: np.ndarray, freq: np.ndarray, se: np.ndarray):
+        self.m = rows.shape[1]
+        self._cols = np.ascontiguousarray(rows.T)
+        self._top = int(np.iinfo(rows.dtype).max)
+        self._freq, self._se = freq, se
+        for a in (self._cols, freq, se):
+            a.flags.writeable = False
+
+    def _find(self, n) -> int:
+        """The row of key n, or -1 when n is no key (as a dict would miss it)."""
+        if not isinstance(n, tuple) or len(n) != self.m:
+            return -1
+        lo, hi = 0, len(self._freq)
+        for col, v in zip(self._cols, n):
+            try:
+                iv = int(v)
+            except (TypeError, ValueError, OverflowError):
+                return -1
+            if iv != v or not 0 <= iv <= self._top:
+                return -1
+            run = col[lo:hi]  # the rows that match n so far, sorted on this column
+            lo, hi = lo + run.searchsorted(iv, "left"), lo + run.searchsorted(iv, "right")
+            if lo == hi:
+                return -1
+        return int(lo)
+
+    def __getitem__(self, n: Composition) -> tuple[float, float]:
+        row = self._find(n)
+        if row < 0:
+            raise KeyError(n)
+        return float(self._freq[row]), float(self._se[row])
+
+    def __iter__(self) -> Iterator[Composition]:
+        return map(tuple, self._cols.T.tolist())
+
+    def __len__(self) -> int:
+        return len(self._freq)
+
+    # views that read the arrays in one pass instead of one lookup per key
+    def values(self) -> ValuesView:
+        return _PmfValues(self)
+
+    def items(self) -> ItemsView:
+        return _PmfItems(self)
+
+
+class _PmfValues(ValuesView):
+    def __iter__(self) -> Iterator[tuple[float, float]]:
+        return zip(self._mapping._freq.tolist(), self._mapping._se.tolist())
+
+
+class _PmfItems(ItemsView):
+    def __iter__(self) -> Iterator[tuple[Composition, tuple[float, float]]]:
+        return zip(self._mapping, self._mapping.values())
+
+
 @dataclass
 class McPmfEstimate:
-    """Empirical pmf over uncensored replicates, with binomial standard errors."""
+    """Empirical pmf over uncensored replicates, with binomial standard errors.
 
-    pmf: dict[Composition, tuple[float, float]]
+    pmf maps each observed composition with |n| <= n_max to (frequency, SE);
+    it is a read-only mapping over arrays, equal to the dict of its items.
+    """
+
+    pmf: _PmfTable
     censoring_rate: float
     replicates: int
     n_uncensored: int
     n_max: int
 
     def estimate(self, n: Composition) -> tuple[float, float]:
-        return self.pmf.get(tuple(n), (0.0, 0.0))
+        """(frequency, SE) of cell n, (0.0, 0.0) when no replicate had it;
+        SpecValidationError unless n is a composition with 1 <= |n| <= n_max."""
+        n = as_composition(n, self.pmf.m)
+        if not 1 <= sum(n) <= self.n_max:
+            raise SpecValidationError(f"cell {n} is outside the window 1 <= |n| <= {self.n_max}")
+        return self.pmf.get(n, (0.0, 0.0))
 
 
 def _resolve_root(spec: ModelSpec, root: int | str | None) -> int | str:
@@ -78,6 +157,22 @@ def _resolve_root(spec: ModelSpec, root: int | str | None) -> int | str:
     return int(root)
 
 
+def _rate(spec: ModelSpec, t: float) -> np.ndarray:
+    """Children means per parent: rate[k, l] = t A_kl p_l."""
+    return t * spec.A * spec.p[None, :]
+
+
+def _count_type(rate: np.ndarray, cap: int) -> type:
+    """Integer type of one call's lockstep buffers: int32 when
+    cap * (1 + r) < 2**28, with r the largest row sum of rate, else int64.
+
+    A live row's total is at most cap, so its next generation has a Poisson
+    mean below cap * r, and its new total reaches 2**31 only if that
+    generation exceeds 8 times its mean.
+    """
+    return np.int32 if cap * (1.0 + float(rate.sum(axis=1).max())) < 2**28 else np.int64
+
+
 def _simulate_blocks(spec: ModelSpec, t: float, root: int | str, cap: int, seed: int,
                      blocks: range, counts: np.ndarray, censored: np.ndarray) -> None:
     """Fill a group of consecutive blocks into zeroed counts (rows x m) and censored (rows).
@@ -87,12 +182,14 @@ def _simulate_blocks(spec: ModelSpec, t: float, root: int | str, cap: int, seed:
     children of its live rows.  `live` holds the indices of the rows still
     growing, in row order, so each block's live rows are one contiguous run
     of it, and `z` their current generation.  Everything but the draws runs
-    once per generation for the whole group.  A row leaves when it has no
-    children or its total passes the cap (censored).
+    once per generation for the whole group, on buffers of _count_type
+    (counts may be wider).  A row leaves when it has no children or its
+    total passes the cap (censored).
     """
     rows, m = counts.shape
-    rate = t * spec.A * spec.p[None, :]  # children means per parent: rate[k, l]
-    starts = np.arange(0, rows, BLOCK_SIZE)
+    rate = _rate(spec, t)
+    dtype = _count_type(rate, cap)
+    starts = np.arange(0, rows, BLOCK_SIZE, dtype=np.int32)  # live's type: searchsorted casts neither
     rngs = [np.random.default_rng(np.random.SeedSequence(entropy=[seed, b])) for b in blocks]
     cuts = starts.tolist() + [rows]
     for rng, a, e in zip(rngs, cuts, cuts[1:]):
@@ -100,9 +197,9 @@ def _simulate_blocks(spec: ModelSpec, t: float, root: int | str, cap: int, seed:
             counts[np.arange(a, e), rng.choice(m, size=e - a, p=spec.p)] = 1
         else:
             counts[a:e, int(root)] = 1
-    live = np.arange(rows)
-    z = counts.copy()
-    total = np.ones(rows, dtype=np.int64)  # progeny so far of each live row
+    live = np.arange(rows, dtype=np.int32)  # a group has at most GROUP_BLOCKS * BLOCK_SIZE rows
+    z = counts.astype(dtype)
+    total = np.ones(rows, dtype=dtype)  # progeny so far of each live row
     children = np.empty_like(z)
     while live.size:
         cuts = np.searchsorted(live, starts).tolist() + [live.size]
@@ -124,7 +221,7 @@ def _run_groups(spec: ModelSpec, t: float, root: int | str, config: McConfig, th
     """finish(counts, censored) of every lockstep group, in group order; t,
     root and threads come checked.
 
-    buffers(rows) gives the zeroed int64 counts (rows x m) and bool censored
+    buffers(rows) gives the zeroed integer counts (rows x m) and bool censored
     (rows) that the group owning the slice rows of the R replicates fills.
     Threads take whole groups, each simulated and finished in its worker.
     """
@@ -198,10 +295,11 @@ def estimate_pmf(spec: ModelSpec, t: float, root: int | str | None, config: McCo
     """
     n_max = _count("n_max", n_max)
     t, r, threads = _time("t", t), _resolve_root(spec, root), _count("threads", threads)
+    dtype = _count_type(_rate(spec, t), config.population_cap)
 
     def fresh(rows: slice) -> tuple[np.ndarray, np.ndarray]:
         size = rows.stop - rows.start
-        return np.zeros((size, spec.m), dtype=np.int64), np.zeros(size, dtype=bool)
+        return np.zeros((size, spec.m), dtype=dtype), np.zeros(size, dtype=bool)
 
     def reduce(counts: np.ndarray, censored: np.ndarray) -> tuple[np.ndarray, int]:
         sizes = sum(counts.T)  # adding the m columns is several times faster than sum(axis=1)
@@ -214,11 +312,8 @@ def estimate_pmf(spec: ModelSpec, t: float, root: int | str | None, config: McCo
     denom = max(n_unc, 1)  # with every replicate censored there are no rows to divide
     est = freq / denom
     se = np.sqrt(est * (1.0 - est) / denom)
-    pmf: dict[Composition, tuple[float, float]] = {
-        tuple(row): (e, s) for row, e, s in zip(rows.tolist(), est.tolist(), se.tolist())
-    }
     return McPmfEstimate(
-        pmf=pmf,
+        pmf=_PmfTable(rows, est, se),
         censoring_rate=n_censored / config.replicates,
         replicates=config.replicates,
         n_uncensored=n_unc,

@@ -128,10 +128,13 @@ class ModelSpec:
     def __post_init__(self) -> None:
         m = _whole_number("m", self.m)
         try:
+            text = any(np.asarray(v).dtype.kind in "SU" for v in (self.A, self.p))
             A = np.array(self.A, dtype=float)
             p = np.array(self.p, dtype=float)
         except (TypeError, ValueError, OverflowError) as e:
             raise SpecValidationError(f"A and p must be numeric ({e})") from None
+        if text:  # a float conversion would read the string "2" as 2.0
+            raise SpecValidationError("A and p must be numeric, not text")
         if m < 1:
             raise SpecValidationError("m must be >= 1")
         if A.shape != (m, m):
@@ -191,11 +194,12 @@ class ModelSpec:
 
     @classmethod
     def from_json(cls, path: str) -> "ModelSpec":
-        """The spec in a JSON file; SpecValidationError if it is not valid UTF-8 JSON."""
+        """The spec in a JSON file; SpecValidationError if it is not valid UTF-8 JSON
+        or nests deeper than the parser's recursion limit."""
         with open(path, encoding="utf-8") as f:
             try:
                 data = json.load(f)
-            except ValueError as e:  # malformed JSON or not UTF-8
+            except (ValueError, RecursionError) as e:  # malformed, not UTF-8, or nested too deep
                 raise SpecValidationError(f"{path} is not valid JSON: {e}") from None
         return cls.from_json_dict(data)
 

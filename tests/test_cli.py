@@ -271,6 +271,11 @@ M1_MODEL = '{"m": 1, "A": [[1.0]], "p": [1.0]}'
     ('{"m": "x", "A": [[1.0]], "p": [1.0]}', ["gelation"], True),
     ('{"m": 1.7, "A": [[1.0]], "p": [1.0]}', ["gelation"], True),
     ('{"m": true, "A": [[1.0]], "p": [1.0]}', ["gelation"], True),
+    # numbers written as text, which a float conversion would read as numbers
+    ('{"m": 1, "A": [["2"]], "p": [1.0]}', ["gelation"], True),
+    ('{"m": 1, "A": [[1.0]], "p": ["1"]}', ["gelation"], True),
+    # valid JSON nested past the parser's recursion limit
+    ('{"m": 1, "A": ' + "[" * 5_000 + "]" * 5_000 + ', "p": [1.0]}', ["gelation"], True),
     (M1_MODEL, ["localize", "--t", "0.5", "--rate-check", "a,b"], False),
     (M1_MODEL, ["localize", "--t", "0.5", "--rate-check", "1.0", "--n-list", "x"], False),
     (M1_MODEL, ["localize", "--t", "0.5", "--rate-check", "1.0", "--n-list", "2.5"], False),
@@ -301,6 +306,7 @@ M1_MODEL = '{"m": 1, "A": [[1.0]], "p": [1.0]}'
     (M1_MODEL, ["compare", "--t", "0.5", "--nmax", "5", "--mc-floor", "nan"], False),
     (M1_MODEL, ["compare", "--t", "0.5", "--nmax", "5", "--mc-floor", "0"], False),
 ], ids=["non_object_json", "malformed_json", "m_not_an_integer", "m_fractional", "m_boolean",
+        "A_as_text", "p_as_text", "nested_too_deep",
         "rate_check_not_numbers", "n_list_not_numbers", "n_list_fractional",
         "rate_out_without_rate_check", "nmax_0",
         "t_nan", "dt_inf", "ode_t_0", "analytic_t_negative", "mc_t_negative", "compare_t_0",
