@@ -24,14 +24,11 @@ The lockstep buffers take one integer type per call, from _count_type:
 int32 while no live row can near 2**31, int64 otherwise.  sample_progeny_batch
 returns every replicate, as int64 counts.  estimate_pmf reduces each group as
 it finishes, in its worker, to the rows it tabulates, narrowed, and its
-censored count; the pmf is then one lexicographic sort of those rows, kept
-as three arrays (rows, frequencies, standard errors) behind a read-only
-mapping.
+censored count; the pmf is then one lexicographic sort of those rows.
 """
 
 from __future__ import annotations
 
-from collections.abc import ItemsView, Iterator, Mapping, ValuesView
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,89 +55,25 @@ class McConfig:
             raise SpecValidationError(f"seed must be >= 0, got {self.seed}")
 
 
-class _PmfTable(Mapping):
-    """Read-only map from each observed composition to (frequency, standard error).
-
-    Keys come in lexicographic order, as tuples of ints, but none is kept:
-    the table holds the distinct rows as narrow unsigned columns (m x k),
-    and the frequencies and standard errors as float64 arrays.  A lookup
-    narrows a run of rows one column at a time by binary search.
-    """
-
-    def __init__(self, rows: np.ndarray, freq: np.ndarray, se: np.ndarray):
-        self.m = rows.shape[1]
-        self._cols = np.ascontiguousarray(rows.T)
-        self._top = int(np.iinfo(rows.dtype).max)
-        self._freq, self._se = freq, se
-        for a in (self._cols, freq, se):
-            a.flags.writeable = False
-
-    def _find(self, n) -> int:
-        """The row of key n, or -1 when n is no key (as a dict would miss it)."""
-        if not isinstance(n, tuple) or len(n) != self.m:
-            return -1
-        lo, hi = 0, len(self._freq)
-        for col, v in zip(self._cols, n):
-            try:
-                iv = int(v)
-            except (TypeError, ValueError, OverflowError):
-                return -1
-            if iv != v or not 0 <= iv <= self._top:
-                return -1
-            run = col[lo:hi]  # the rows that match n so far, sorted on this column
-            lo, hi = lo + run.searchsorted(iv, "left"), lo + run.searchsorted(iv, "right")
-            if lo == hi:
-                return -1
-        return int(lo)
-
-    def __getitem__(self, n: Composition) -> tuple[float, float]:
-        row = self._find(n)
-        if row < 0:
-            raise KeyError(n)
-        return float(self._freq[row]), float(self._se[row])
-
-    def __iter__(self) -> Iterator[Composition]:
-        return map(tuple, self._cols.T.tolist())
-
-    def __len__(self) -> int:
-        return len(self._freq)
-
-    # views that read the arrays in one pass instead of one lookup per key
-    def values(self) -> ValuesView:
-        return _PmfValues(self)
-
-    def items(self) -> ItemsView:
-        return _PmfItems(self)
-
-
-class _PmfValues(ValuesView):
-    def __iter__(self) -> Iterator[tuple[float, float]]:
-        return zip(self._mapping._freq.tolist(), self._mapping._se.tolist())
-
-
-class _PmfItems(ItemsView):
-    def __iter__(self) -> Iterator[tuple[Composition, tuple[float, float]]]:
-        return zip(self._mapping, self._mapping.values())
-
-
 @dataclass
 class McPmfEstimate:
     """Empirical pmf over uncensored replicates, with binomial standard errors.
 
-    pmf maps each observed composition with |n| <= n_max to (frequency, SE);
-    it is a read-only mapping over arrays, equal to the dict of its items.
+    pmf maps each observed composition with |n| <= n_max to (frequency, SE),
+    in lexicographic order; m is the number of types.
     """
 
-    pmf: _PmfTable
+    pmf: dict[Composition, tuple[float, float]]
     censoring_rate: float
     replicates: int
     n_uncensored: int
     n_max: int
+    m: int
 
     def estimate(self, n: Composition) -> tuple[float, float]:
         """(frequency, SE) of cell n, (0.0, 0.0) when no replicate had it;
         SpecValidationError unless n is a composition with 1 <= |n| <= n_max."""
-        n = as_composition(n, self.pmf.m)
+        n = as_composition(n, self.m)
         if not 1 <= sum(n) <= self.n_max:
             raise SpecValidationError(f"cell {n} is outside the window 1 <= |n| <= {self.n_max}")
         return self.pmf.get(n, (0.0, 0.0))
@@ -312,10 +245,14 @@ def estimate_pmf(spec: ModelSpec, t: float, root: int | str | None, config: McCo
     denom = max(n_unc, 1)  # with every replicate censored there are no rows to divide
     est = freq / denom
     se = np.sqrt(est * (1.0 - est) / denom)
+    pmf: dict[Composition, tuple[float, float]] = {
+        tuple(row): (e, s) for row, e, s in zip(rows.tolist(), est.tolist(), se.tolist())
+    }
     return McPmfEstimate(
-        pmf=_PmfTable(rows, est, se),
+        pmf=pmf,
         censoring_rate=n_censored / config.replicates,
         replicates=config.replicates,
         n_uncensored=n_unc,
         n_max=n_max,
+        m=spec.m,
     )

@@ -184,8 +184,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         cfg = branching_mc.McConfig(replicates=args.replicates, population_cap=args.cap,
                                     seed=args.seed)
         est = branching_mc.estimate_pmf(spec, args.t, None, cfg, n_max=args.nmax)
-        pmf = dict(est.pmf.items())  # one pass over its arrays: a dict then serves the window
-        rows = [(c, pmf.get(c, (0.0, 0.0))) for c in compositions_up_to(spec.m, args.nmax)]
+        rows = [(c, est.pmf.get(c, (0.0, 0.0))) for c in compositions_up_to(spec.m, args.nmax)]
         write_distribution_csv(args.out, spec.m, rows, value_headers=("freq", "se"))
         summary.update(replicates=args.replicates, population_cap=args.cap, seed=args.seed,
                        censoring_rate=est.censoring_rate)

@@ -32,11 +32,19 @@ FORMS = ("reduced", "full")  # ODE loss term: frozen p, or the windowed mass vec
 
 
 def as_composition(n: Iterable[int], m: int | None = None) -> Composition:
-    """Coerce to a tuple of nonnegative ints, optionally checking the length."""
+    """Coerce to a tuple of nonnegative ints, optionally checking the length;
+    SpecValidationError for anything else (text, None, nan, inf, a bare number)."""
+    try:
+        values = list(n)
+    except TypeError:
+        raise SpecValidationError(f"a composition must be a sequence of integers, got {n!r}") from None
     out = []
-    for v in n:
-        iv = int(v)
-        if iv != v or iv < 0:
+    for v in values:
+        try:
+            iv = int(v)
+        except (TypeError, ValueError, OverflowError):
+            iv = None
+        if iv is None or iv != v or iv < 0:
             raise SpecValidationError(f"composition entries must be nonnegative integers, got {v!r}")
         out.append(iv)
     comp = tuple(out)

@@ -261,6 +261,10 @@ def test_as_composition_and_size():
         as_composition([1, -1], 2)
     with pytest.raises(SpecValidationError):
         as_composition([1], 2)
+    # text, None, nan, inf and a bare number raised TypeError, ValueError or OverflowError
+    for bad in (["x", 0], [None, 0], [math.nan, 0], [math.inf, 0], 5):
+        with pytest.raises(SpecValidationError):
+            as_composition(bad, 2)
 
 
 def test_distribution_csv_roundtrip(tmp_path):
