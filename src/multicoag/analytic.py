@@ -71,12 +71,15 @@ def _tree_shaped(spec: ModelSpec, comps: np.ndarray) -> np.ndarray:
     return connected & (~single | loop | (comps.sum(axis=1) == 1))
 
 
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")  # log 0 = -inf; the rest is checked
 def _log_progeny(spec: ModelSpec, t: float, comps: np.ndarray,
                  roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """log P(T_i = n) and the precision flag for each row n of comps, i = roots[row].
 
     Every row must be reachable from its root: n_i >= 1, no non-root node
-    of a type with p_l = 0, and a tree shape (see _tree_shaped).
+    of a type with p_l = 0, and a tree shape (see _tree_shaped).  A row whose
+    value is NaN or +inf (a kernel near the float range overflows n A) raises
+    NumericalBreakdownError.
     """
     k = comps.copy()
     k[np.arange(len(comps)), roots] -= 1
@@ -94,8 +97,12 @@ def _log_progeny(spec: ModelSpec, t: float, comps: np.ndarray,
     lam = t * na * spec.p
     log_fact = np.array([math.lgamma(j + 1.0) for j in range(int(k.max(initial=0)) + 1)])
     log_pois = np.log(lam, out=np.zeros(lam.shape), where=k > 0) * k - lam - log_fact[k]
-    with np.errstate(divide="ignore"):
-        log_p = np.log(np.maximum(det, 0.0)) + log_pois.sum(axis=1)
+    log_p = np.log(np.maximum(det, 0.0)) + log_pois.sum(axis=1)
+    broken = np.isnan(log_p) | (log_p == np.inf)
+    if broken.any():
+        bad = int(broken.argmax())
+        raise NumericalBreakdownError(
+            f"log P(T_i = n) = {log_p[bad]} at n={tuple(comps[bad].tolist())}")
     return log_p, det < PRECISION_RATIO * bound
 
 

@@ -20,11 +20,10 @@ drawing every row with the dead ones at rate 0.  A fixed-seed digest test
 (tests/test_branching_mc.py) pins the streams, and so catches a numpy
 release that changes its Poisson sampler.
 
-The lockstep buffers take one integer type per call, from _count_type:
-int32 while no live row can near 2**31, int64 otherwise.  sample_progeny_batch
-returns every replicate, as int64 counts.  estimate_pmf reduces each group as
-it finishes, in its worker, to the rows it tabulates, narrowed, and its
-censored count; the pmf is then one lexicographic sort of those rows.
+Each group owns its buffers, in the integer type of _count_type, and hands
+them to a finish callback: sample_progeny_batch copies them into its int64
+result, estimate_pmf reduces them in the worker to the rows it tabulates,
+narrowed, and the censored count; the pmf is one lexicographic sort of those.
 """
 
 from __future__ import annotations
@@ -96,7 +95,7 @@ def _rate(spec: ModelSpec, t: float) -> np.ndarray:
 
 
 def _count_type(rate: np.ndarray, cap: int) -> type:
-    """Integer type of one call's lockstep buffers: int32 when
+    """Integer type of a group's lockstep buffers: int32 when
     cap * (1 + r) < 2**28, with r the largest row sum of rate, else int64.
 
     A live row's total is at most cap, so its next generation has a Poisson
@@ -107,65 +106,59 @@ def _count_type(rate: np.ndarray, cap: int) -> type:
 
 
 def _simulate_blocks(spec: ModelSpec, t: float, root: int | str, cap: int, seed: int,
-                     blocks: range, counts: np.ndarray, censored: np.ndarray) -> None:
-    """Fill a group of consecutive blocks into zeroed counts (rows x m) and censored (rows).
+                     blocks: range, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The counts (size x m) and censored flags (size) of a group of consecutive blocks.
 
     Block b owns rows (b - blocks.start) * BLOCK_SIZE onward and the stream
     seeded by (seed, b); it draws its roots, then once per generation the
     children of its live rows.  `live` holds the indices of the rows still
     growing, in row order, so each block's live rows are one contiguous run
-    of it, and `z` their current generation.  Everything but the draws runs
-    once per generation for the whole group, on buffers of _count_type
-    (counts may be wider).  A row leaves when it has no children or its
-    total passes the cap (censored).
+    of it, and `z` their current generation, overwritten by their children's
+    draws once their rates are taken.  All buffers take _count_type's type.
+    A row leaves when it has no children or its total passes the cap (censored).
     """
-    rows, m = counts.shape
     rate = _rate(spec, t)
     dtype = _count_type(rate, cap)
-    starts = np.arange(0, rows, BLOCK_SIZE, dtype=np.int32)  # live's type: searchsorted casts neither
+    counts, censored = np.zeros((size, spec.m), dtype=dtype), np.zeros(size, dtype=bool)
+    starts = np.arange(0, size, BLOCK_SIZE, dtype=np.int32)  # live's type: searchsorted casts neither
     rngs = [np.random.default_rng(np.random.SeedSequence(entropy=[seed, b])) for b in blocks]
-    cuts = starts.tolist() + [rows]
+    cuts = starts.tolist() + [size]
     for rng, a, e in zip(rngs, cuts, cuts[1:]):
         if root == RANDOM_ROOT:
-            counts[np.arange(a, e), rng.choice(m, size=e - a, p=spec.p)] = 1
+            counts[np.arange(a, e), rng.choice(spec.m, size=e - a, p=spec.p)] = 1
         else:
             counts[a:e, int(root)] = 1
-    live = np.arange(rows, dtype=np.int32)  # a group has at most GROUP_BLOCKS * BLOCK_SIZE rows
-    z = counts.astype(dtype)
-    total = np.ones(rows, dtype=dtype)  # progeny so far of each live row
-    children = np.empty_like(z)
+    live = np.arange(size, dtype=np.int32)  # a group has at most GROUP_BLOCKS * BLOCK_SIZE rows
+    z = counts.copy()
+    total = np.ones(size, dtype=dtype)  # progeny so far of each live row
     while live.size:
         cuts = np.searchsorted(live, starts).tolist() + [live.size]
         for rng, a, e in zip(rngs, cuts, cuts[1:]):
             if a < e:  # lambda per block slice, as a lone block would compute it
-                children[a:e] = rng.poisson(z[a:e] @ rate)
-        kids = children[:live.size]
-        born = sum(kids.T)  # as sizes in estimate_pmf: faster than sum(axis=1)
-        counts[live] += kids
+                z[a:e] = rng.poisson(z[a:e] @ rate)
+        born = sum(z.T)  # as sizes in estimate_pmf: faster than sum(axis=1)
+        counts[live] += z
         total += born
         over = total > cap
         censored[live[over]] = True
         keep = (born > 0) & ~over
-        live, z, total = live[keep], kids[keep], total[keep]
+        live, z, total = live[keep], z[keep], total[keep]
+    return counts, censored
 
 
 def _run_groups(spec: ModelSpec, t: float, root: int | str, config: McConfig, threads: int,
-                buffers, finish=lambda counts, censored: None) -> list:
-    """finish(counts, censored) of every lockstep group, in group order; t,
-    root and threads come checked.
-
-    buffers(rows) gives the zeroed integer counts (rows x m) and bool censored
-    (rows) that the group owning the slice rows of the R replicates fills.
-    Threads take whole groups, each simulated and finished in its worker.
-    """
+                finish) -> list:
+    """finish(rows, counts, censored) of every lockstep group, in group order,
+    rows being its slice of the R replicates; t, root and threads come
+    checked.  Threads take whole groups, each simulated and finished in its worker."""
     n = config.replicates
     n_blocks = (n + BLOCK_SIZE - 1) // BLOCK_SIZE
 
     def run(first: int):
         blocks = range(first, min(first + GROUP_BLOCKS, n_blocks))
-        counts, censored = buffers(slice(first * BLOCK_SIZE, min(blocks.stop * BLOCK_SIZE, n)))
-        _simulate_blocks(spec, t, root, config.population_cap, config.seed, blocks, counts, censored)
-        return finish(counts, censored)
+        rows = slice(first * BLOCK_SIZE, min(blocks.stop * BLOCK_SIZE, n))
+        return finish(rows, *_simulate_blocks(spec, t, root, config.population_cap, config.seed,
+                                              blocks, rows.stop - rows.start))
 
     groups = range(0, n_blocks, GROUP_BLOCKS)
     if threads > 1 and len(groups) > 1:
@@ -183,13 +176,17 @@ def sample_progeny_batch(spec: ModelSpec, t: float, root: int | str | None,
 
     Block b always uses the stream seeded by (seed, b), so the result is a
     pure function of (spec, t, root, config) whatever the thread count or
-    the group width.  Groups of GROUP_BLOCKS blocks advance in lockstep and
-    write straight into their rows of the result; threads take whole groups.
+    the group width.  Each lockstep group of GROUP_BLOCKS blocks is copied
+    into its rows of the result as it finishes; threads take whole groups.
     """
     t, r, threads = _time("t", t), _resolve_root(spec, root), _count("threads", threads)
     counts = np.zeros((config.replicates, spec.m), dtype=np.int64)
     censored = np.zeros(config.replicates, dtype=bool)
-    _run_groups(spec, t, r, config, threads, lambda rows: (counts[rows], censored[rows]))
+
+    def copy(rows: slice, group_counts: np.ndarray, group_censored: np.ndarray) -> None:
+        counts[rows], censored[rows] = group_counts, group_censored
+
+    _run_groups(spec, t, r, config, threads, copy)
     return counts, censored
 
 
@@ -228,17 +225,12 @@ def estimate_pmf(spec: ModelSpec, t: float, root: int | str | None, config: McCo
     """
     n_max = _count("n_max", n_max)
     t, r, threads = _time("t", t), _resolve_root(spec, root), _count("threads", threads)
-    dtype = _count_type(_rate(spec, t), config.population_cap)
 
-    def fresh(rows: slice) -> tuple[np.ndarray, np.ndarray]:
-        size = rows.stop - rows.start
-        return np.zeros((size, spec.m), dtype=dtype), np.zeros(size, dtype=bool)
-
-    def reduce(counts: np.ndarray, censored: np.ndarray) -> tuple[np.ndarray, int]:
+    def reduce(rows: slice, counts: np.ndarray, censored: np.ndarray) -> tuple[np.ndarray, int]:
         sizes = sum(counts.T)  # adding the m columns is several times faster than sum(axis=1)
         return _narrow(counts[~censored & (sizes <= n_max)]), int(np.count_nonzero(censored))
 
-    groups = _run_groups(spec, t, r, config, threads, fresh, reduce)
+    groups = _run_groups(spec, t, r, config, threads, reduce)
     n_censored = sum(c for _, c in groups)
     rows, freq = _tabulate(np.concatenate([kept for kept, _ in groups], axis=1))
     n_unc = config.replicates - n_censored

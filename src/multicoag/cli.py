@@ -75,6 +75,9 @@ class RunManifest:
 def _check_args(args: argparse.Namespace) -> None:
     """Argument faults, found before any work and named by their option (exit 2);
     times, steps, tolerances and counts go through the library's own checks."""
+    for name, value in vars(args).items():
+        if isinstance(value, list):  # argparse reads --option=-- as an empty list
+            raise CoagulationError(f"--{name.replace('_', '-')} needs a value")
     # t = 0 is the initial state, which only analytic and mc can emit
     zero_t = args.command == "solve" and args.method != "ode"
     try:
@@ -95,6 +98,14 @@ def _check_args(args: argparse.Namespace) -> None:
     seed = getattr(args, "seed", None)
     if seed is not None and seed < 0:  # SeedSequence takes no negative entropy
         raise CoagulationError(f"--seed must be >= 0, got {seed}")
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose faults raise CoagulationError, so that main reports
+    them as one `error:` line with exit 2 instead of a usage block."""
+
+    def error(self, message: str):
+        raise CoagulationError(message)
 
 
 def _number_list(option: str, text: str, kind: type) -> list:
@@ -287,7 +298,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="multicoag",
         description="Multicomponent coagulation: gelation time, exact/ODE/MC size "
                     "distributions, and large-cluster localization.",
@@ -342,11 +353,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    args.raw_argv = argv
     try:
+        args = build_parser().parse_args(argv)
         _check_args(args)
+        args.raw_argv = argv
         return args.func(args)
     except SpecValidationError as e:
         print(f"error: invalid model instance: {e}", file=sys.stderr)

@@ -122,7 +122,7 @@ def _compositions(m: int, n_max: int) -> tuple[Composition, ...]:
 class ModelSpec:
     """Immutable model instance.
 
-    A is symmetrized to (A + A^T)/2 at construction (flagged), p is
+    An asymmetric A is symmetrized to A/2 + A^T/2 at construction (flagged), p is
     renormalized when its sum is within 1e-6 of one (flagged, warned).
     Arrays are stored read-only; instances hash by identity.
     """
@@ -136,28 +136,31 @@ class ModelSpec:
     def __post_init__(self) -> None:
         m = _whole_number("m", self.m)
         try:
-            text = any(np.asarray(v).dtype.kind in "SU" for v in (self.A, self.p))
             A = np.array(self.A, dtype=float)
             p = np.array(self.p, dtype=float)
+            # the float conversion reads the text "2" as 2.0 and true as 1.0, so look
+            # at each entry as given, now that A and p are known to be rectangular
+            odd = [e for v in (self.A, self.p) for e in np.array(v, dtype=object).flat
+                   if isinstance(e, (str, bytes, bool, np.bool_))]
         except (TypeError, ValueError, OverflowError) as e:
             raise SpecValidationError(f"A and p must be numeric ({e})") from None
-        if text:  # a float conversion would read the string "2" as 2.0
-            raise SpecValidationError("A and p must be numeric, not text")
+        if odd:
+            raise SpecValidationError(f"A and p must be numeric, not text or booleans: {odd[0]!r}")
         if m < 1:
             raise SpecValidationError("m must be >= 1")
         if A.shape != (m, m):
             raise SpecValidationError(f"A must be {m}x{m}, got shape {A.shape}")
         if p.shape != (m,):
             raise SpecValidationError(f"p must have length {m}, got shape {p.shape}")
-        if not np.all(np.isfinite(A)) or not np.all(np.isfinite(p)):
+        was_asym = not np.array_equal(A, A.T)
+        with np.errstate(invalid="ignore"):  # inf - inf, in a kernel rejected just below
+            sym = 0.5 * A + 0.5 * A.T if was_asym else A  # halves first: finite stays finite
+        if not np.all(np.isfinite(sym)) or not np.all(np.isfinite(p)):
             raise SpecValidationError("A and p must be finite")
         if np.any(A < 0.0):
             raise SpecValidationError("A must be entrywise nonnegative")
         if np.any(p < 0.0):
             raise SpecValidationError("p must be entrywise nonnegative")
-
-        sym = 0.5 * (A + A.T)
-        was_asym = bool(np.any(A != sym))
         if np.all(sym == 0.0):
             raise SpecValidationError("A must have at least one positive entry")
 

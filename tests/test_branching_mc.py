@@ -343,11 +343,10 @@ def _count_arrays():
 
 
 def replay(counts: np.ndarray, censored: np.ndarray):
-    """A _simulate_blocks that fills each group with its rows of fixed arrays."""
-    def fill(spec, t, root, cap, seed, blocks, group_counts, group_censored):
-        rows = slice(blocks.start * BLOCK_SIZE, blocks.start * BLOCK_SIZE + len(group_counts))
-        group_counts[:] = counts[rows]
-        group_censored[:] = censored[rows]
+    """A _simulate_blocks that gives each group its rows of fixed arrays."""
+    def fill(spec, t, root, cap, seed, blocks, size):
+        rows = slice(blocks.start * BLOCK_SIZE, blocks.start * BLOCK_SIZE + size)
+        return counts[rows].copy(), censored[rows].copy()
     return fill
 
 

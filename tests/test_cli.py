@@ -274,6 +274,9 @@ M1_MODEL = '{"m": 1, "A": [[1.0]], "p": [1.0]}'
     # numbers written as text, which a float conversion would read as numbers
     ('{"m": 1, "A": [["2"]], "p": [1.0]}', ["gelation"], True),
     ('{"m": 1, "A": [[1.0]], "p": ["1"]}', ["gelation"], True),
+    # booleans, which a float conversion would read as 1 and 0
+    ('{"m": 1, "A": [[true]], "p": [1.0]}', ["gelation"], True),
+    ('{"m": 2, "A": [[1.0, 1.0], [1.0, 1.0]], "p": [true, false]}', ["gelation"], True),
     # valid JSON nested past the parser's recursion limit
     ('{"m": 1, "A": ' + "[" * 5_000 + "]" * 5_000 + ', "p": [1.0]}', ["gelation"], True),
     (M1_MODEL, ["localize", "--t", "0.5", "--rate-check", "a,b"], False),
@@ -306,7 +309,7 @@ M1_MODEL = '{"m": 1, "A": [[1.0]], "p": [1.0]}'
     (M1_MODEL, ["compare", "--t", "0.5", "--nmax", "5", "--mc-floor", "nan"], False),
     (M1_MODEL, ["compare", "--t", "0.5", "--nmax", "5", "--mc-floor", "0"], False),
 ], ids=["non_object_json", "malformed_json", "m_not_an_integer", "m_fractional", "m_boolean",
-        "A_as_text", "p_as_text", "nested_too_deep",
+        "A_as_text", "p_as_text", "A_boolean", "p_boolean", "nested_too_deep",
         "rate_check_not_numbers", "n_list_not_numbers", "n_list_fractional",
         "rate_out_without_rate_check", "nmax_0",
         "t_nan", "dt_inf", "ode_t_0", "analytic_t_negative", "mc_t_negative", "compare_t_0",
@@ -325,6 +328,42 @@ def test_input_faults_exit_2_with_one_line(tmp_path, capsys, model, args, model_
     assert len(err) == 1 and err[0].startswith("error: ")
     assert ("invalid model instance" in err[0]) == model_fault
     assert not out.exists()
+
+
+HUGE_2 = {"m": 2, "A": [[1e308, 1e308], [1e308, 1e308]], "p": [0.5, 0.5]}
+HUGE_1 = {"m": 1, "A": [[1e308]], "p": [1.0]}
+
+
+@pytest.mark.parametrize("model, args, code", [
+    (HUGE_2, ["gelation", "--out", "OUT"], 0),
+    (HUGE_1, ["gelation", "--out", "OUT"], 0),
+    (HUGE_2, ["solve", "--t", "1e-310", "--nmax", "1", "--out", "OUT"], 0),
+    (HUGE_2, ["solve", "--t", "1e-310", "--nmax", "3", "--out", "OUT"], 5),
+    (HUGE_1, ["solve", "--t", "1e-310", "--nmax", "3", "--out", "OUT"], 5),
+], ids=["gelation_m2", "gelation_m1", "solve_singletons", "solve_m2", "solve_m1"])
+def test_kernel_near_the_float_range_gives_no_nan(tmp_path, capsys, model, args, code):
+    # A = 1e308 once overflowed when symmetrized: gelation read T_c = Infinity or
+    # 0.0 with exit 0, and solve wrote NaN cells with exit 0.  T_c is 1/1e308 on
+    # both models; n A overflows for |n| >= 2, which the exact route must report
+    spec = tmp_path / "model.json"
+    spec.write_text(json.dumps(model))
+    out = tmp_path / "out"
+    argv = [args[0], str(spec)] + [str(out) if a == "OUT" else a for a in args[1:]]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    written = out.read_text() if out.exists() else ""
+    for text in (captured.out, written):
+        assert "nan" not in text.lower() and "inf" not in text.lower()
+    if code:
+        assert captured.err.startswith("error: numerical failure: ")
+        assert len(captured.err.splitlines()) == 1 and captured.out == "" and not out.exists()
+    elif args[0] == "gelation":
+        assert captured.err == ""  # a symmetric A is not reported as symmetrized
+        assert json.loads(written)["T_c"] == pytest.approx(1e-308, rel=1e-12)
+    else:
+        rows = list(csv.reader(written.splitlines()))
+        want = 0.5 * math.exp(-1e-310 * 1e308)  # w_(e_i) = p_i exp(-t (A p)_i)
+        assert [float(r[-1]) for r in rows[1:]] == pytest.approx([want, want], rel=1e-12)
 
 
 @pytest.mark.skipif(shutil.which("multicoag") is None,

@@ -1,8 +1,9 @@
-"""Property tests of the exit-code contract: every malformed model file exits 2.
+"""Property tests of the exit-code contract: every malformed input exits 2.
 
-Each fault starts from a valid model and breaks one thing.  The command must
-return exit code 2 with one `error: invalid model instance` line on stderr,
-print nothing on stdout, raise nothing and leave no --out file.
+Each fault starts from a valid model file or a valid command line and breaks
+one thing.  The command must return exit code 2 with one `error:` line on
+stderr (`error: invalid model instance` for a model file), print nothing on
+stdout, raise nothing and leave no output file.
 """
 
 from __future__ import annotations
@@ -112,6 +113,24 @@ def bad_masses(draw) -> str:
 
 
 @st.composite
+def booleans(draw) -> str:
+    # true and false, which a float conversion reads as 1.0 and 0.0
+    model = draw(valid_models())
+    m = model["m"]
+    k, l = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+    fault = draw(st.sampled_from(["A_entry", "A_all", "p_entry", "p_one_hot"]))
+    if fault == "A_entry":
+        model["A"][k][l] = draw(st.booleans())
+    elif fault == "A_all":  # symmetric, nonnegative and nonzero as numbers
+        model["A"] = [[True] * m for _ in range(m)]
+    elif fault == "p_entry":
+        model["p"][k] = draw(st.booleans())
+    else:  # sums to 1 as numbers
+        model["p"] = [i == k for i in range(m)]
+    return json.dumps(model)
+
+
+@st.composite
 def not_utf8(draw) -> bytes:
     data = bytearray(json.dumps(draw(valid_models())).encode())
     data[draw(st.integers(0, len(data) - 1))] = draw(st.sampled_from([0x80, 0xC3, 0xFF]))
@@ -120,7 +139,7 @@ def not_utf8(draw) -> bytes:
 
 FAULTS = {"truncated": truncated(), "not_an_object": not_an_object(),
           "missing_key": missing_key(), "bad_m": bad_m(), "bad_kernel": bad_kernel(),
-          "bad_masses": bad_masses(), "not_utf8": not_utf8()}
+          "bad_masses": bad_masses(), "booleans": booleans(), "not_utf8": not_utf8()}
 
 
 def run_cli(args: list[str]) -> tuple[int, str, str]:
@@ -151,3 +170,119 @@ def test_malformed_model_exits_2_with_one_line(fault):
                 assert not os.path.exists(out)
 
     check()
+
+
+# Malformed argument values.  Each run starts from a valid command line on the
+# two-type model below and appends one option as --option=VALUE, which
+# overrides the valid value and keeps a VALUE such as "-h" from reading as an
+# option.
+ARG_SETTINGS = settings(max_examples=10, deadline=None, derandomize=True, database=None)
+ARG_MODEL = {"m": 2, "A": [[1.0, 0.5], [0.5, 2.0]], "p": [0.6, 0.4]}  # T_c = 1.037
+VALID_COMMANDS = {
+    "solve": ["solve", "SPEC", "--t", "0.5", "--nmax", "4", "--out", "OUT"],
+    "solve_ode": ["solve", "SPEC", "--t", "0.05", "--nmax", "4", "--method", "ode",
+                  "--dt", "0.01", "--out", "OUT"],
+    "solve_mc": ["solve", "SPEC", "--t", "0.5", "--nmax", "4", "--method", "mc",
+                 "--replicates", "100", "--cap", "1000", "--out", "OUT"],
+    "localize": ["localize", "SPEC", "--t", "0.5", "--rate-check", "0.5,0.5",
+                 "--n-list", "2,4,6", "--rate-out", "OUT"],
+    "compare": ["compare", "SPEC", "--t", "0.5", "--nmax", "4", "--dt", "0.01",
+                "--mc-replicates", "100", "--cap", "1000"],
+}
+
+# no float() or int() reads these, whatever their sign, digits or spelling
+TEXT = st.one_of(st.text(alphabet="xyz#?! ", max_size=4),
+                 st.sampled_from(["1e", "0x1f", "1,5", "one", "--", "1..2", "h"]))
+NOT_FINITE = st.sampled_from(["nan", "-nan", "inf", "-inf", "Infinity", "1e999"])
+NEGATIVE = st.floats(max_value=-5e-324, allow_infinity=False).map(repr)
+ZERO = st.sampled_from(["0", "0.0", "-0.0", "0e7"])
+FRACTIONAL = st.floats(-1e6, 1e6).filter(lambda v: v != int(v)).map(repr)
+NOT_POSITIVE = st.integers(max_value=0).map(str)
+FLOAT_FAULTS = {"text": TEXT, "not_finite": NOT_FINITE, "negative": NEGATIVE}
+POSITIVE_FLOAT_FAULTS = {**FLOAT_FAULTS, "zero": ZERO}
+COUNT_FAULTS = {"text": TEXT, "fractional": FRACTIONAL, "not_positive": NOT_POSITIVE}
+
+
+@st.composite
+def number_list(draw, entry, size=st.integers(1, 3)) -> str:
+    n = draw(size)
+    return ",".join(draw(st.lists(entry, min_size=n, max_size=n)))
+
+
+# the 2-type simplex point is (0.5, 0.5) in the valid command, with N in {2, 4, 6}
+SIMPLEX_FAULTS = {
+    "text": number_list(st.one_of(TEXT, st.just("0.5")), st.just(2)).filter(
+        lambda v: v != "0.5,0.5"),
+    "length": st.sampled_from(["1", "1.0", "0.25,0.25,0.5", "0.5,0.5,0", ""]),
+    "entry": number_list(st.one_of(NOT_FINITE, NEGATIVE), st.just(2)),
+    "sum": st.tuples(st.floats(0, 10), st.floats(0, 10)).filter(
+        lambda r: abs(r[0] + r[1] - 1.0) > 1e-6).map(lambda r: f"{r[0]!r},{r[1]!r}"),
+    "not_integral": st.sampled_from(["0.3,0.7", "0.1,0.9", "0.25,0.75", "0.2,0.8"]),
+}
+SIZE_LIST_FAULTS = {
+    "text": number_list(TEXT),
+    "fractional": number_list(FRACTIONAL),
+    "not_positive": number_list(NOT_POSITIVE),
+    "not_integral": number_list(st.integers(0, 20).map(lambda k: str(2 * k + 1))),  # N * 0.5
+}
+
+# (option, commands that take it, fault kind, values)
+ARG_FAULTS = [
+    *(("--t", ["solve", "solve_ode", "solve_mc", "localize", "compare"], kind, values)
+      for kind, values in FLOAT_FAULTS.items()),
+    ("--t", ["solve_ode", "localize", "compare"], "zero", ZERO),  # t = 0 is solve's initial state
+    *(("--nmax", ["solve", "compare"], kind, values) for kind, values in COUNT_FAULTS.items()),
+    *(("--dt", ["solve_ode", "compare"], kind, values)
+      for kind, values in POSITIVE_FLOAT_FAULTS.items()),
+    *((option, commands, kind, values)
+      for option, commands in (("--replicates", ["solve_mc"]), ("--mc-replicates", ["compare"]),
+                               ("--cap", ["solve_mc", "compare"]))
+      for kind, values in COUNT_FAULTS.items()),
+    ("--seed", ["solve_mc", "compare"], "text", TEXT),
+    ("--seed", ["solve_mc", "compare"], "fractional", FRACTIONAL),
+    ("--seed", ["solve_mc", "compare"], "negative", st.integers(max_value=-1).map(str)),
+    *((option, ["compare"], kind, values)
+      for option in ("--tol-ode", "--deficit-tol", "--mc-sigma")
+      for kind, values in POSITIVE_FLOAT_FAULTS.items()),
+    ("--mc-floor", ["compare"], "text", TEXT),
+    ("--mc-floor", ["compare"], "out_of_range", st.one_of(
+        NOT_FINITE, NEGATIVE, ZERO, st.floats(1.0, exclude_min=True, allow_infinity=False).map(repr))),
+    *(("--rate-check", ["localize"], kind, values) for kind, values in SIMPLEX_FAULTS.items()),
+    *(("--n-list", ["localize"], kind, values) for kind, values in SIZE_LIST_FAULTS.items()),
+]
+
+
+def test_valid_commands_exit_0_or_compare_verdict(tmp_path):
+    # the baselines that the argument faults break must themselves run
+    spec = tmp_path / "model.json"
+    spec.write_text(json.dumps(ARG_MODEL))
+    for name, command in VALID_COMMANDS.items():
+        out = tmp_path / f"{name}.out"
+        code, _, stderr = run_cli([{"SPEC": str(spec), "OUT": str(out)}.get(a, a) for a in command])
+        assert code in ((0, 1) if name == "compare" else (0,)), (name, stderr)
+        assert stderr == ""
+        assert out.exists() == ("OUT" in command)
+
+
+@pytest.mark.parametrize("option, commands, kind, values", ARG_FAULTS,
+                         ids=[f"{option}-{kind}" for option, _, kind, _ in ARG_FAULTS])
+def test_malformed_argument_exits_2_with_one_line(option, commands, kind, values):
+    with tempfile.TemporaryDirectory() as scratch:
+        spec = os.path.join(scratch, "model.json")
+        with open(spec, "w") as f:
+            json.dump(ARG_MODEL, f)
+        out = os.path.join(scratch, "out")
+
+        @ARG_SETTINGS
+        @given(command=st.sampled_from(commands), value=values)
+        def check(command, value):
+            argv = [{"SPEC": spec, "OUT": out}.get(a, a) for a in VALID_COMMANDS[command]]
+            code, stdout, stderr = run_cli(argv + [f"{option}={value}"])
+            lines = stderr.splitlines()
+            assert code == EXIT_VALIDATION, (command, value, stderr)
+            assert len(lines) == 1 and lines[0].startswith("error: "), stderr
+            assert "invalid model instance" not in stderr
+            assert stdout == ""
+            assert os.listdir(scratch) == ["model.json"]
+
+        check()

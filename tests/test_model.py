@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -201,6 +202,41 @@ def test_symmetrization_and_renormalization_flags():
         spec2 = ModelSpec(m=2, A=[[1.0, 1.0], [1.0, 1.0]], p=[0.5, 0.5 + 1e-7])
     assert spec2.renormalized
     assert math.isclose(float(spec2.p.sum()), 1.0, rel_tol=0.0, abs_tol=1e-15)
+
+
+def test_symmetrization_keeps_a_finite_kernel_finite():
+    # (A + A^T)/2 overflowed above 8.99e307 and let an infinite kernel through
+    big = np.finfo(float).max
+    spec = ModelSpec(m=2, A=[[big, big], [big, big]], p=[0.5, 0.5])
+    assert not spec.symmetrized and np.all(spec.A == big)
+    spec = ModelSpec(m=2, A=[[1.0, big], [0.5 * big, 1.0]], p=[0.5, 0.5])
+    assert spec.symmetrized and spec.A[0, 1] == spec.A[1, 0] == pytest.approx(0.75 * big)
+    # a symmetric kernel is kept as given, even where halving would round
+    spec = ModelSpec(m=2, A=[[1.0, 5e-324], [5e-324, 1.0]], p=[0.5, 0.5])
+    assert not spec.symmetrized and spec.A[0, 1] == 5e-324
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # inf - inf in the halves raises no RuntimeWarning
+        with pytest.raises(SpecValidationError, match="finite"):
+            ModelSpec(m=2, A=[[1.0, math.inf], [-math.inf, 1.0]], p=[0.5, 0.5])
+
+
+@pytest.mark.parametrize("A, p", [
+    ([[True]], [1.0]),
+    ([[1.0]], [True]),
+    ([[1.0, 1.0], [1.0, 1.0]], [True, False]),
+    ([[1.0, False], [1.0, 1.0]], [0.5, 0.5]),
+    (np.array([[True]]), [1.0]),
+    ([[1.0]], np.array([True])),
+    ([[1.0]], [np.True_]),
+    ([np.array([1.0, 1.0]), [1.0, np.True_]], [0.5, 0.5]),
+    ([["2"]], [1.0]),
+    ([[1.0]], np.array(["1"])),
+], ids=str)
+def test_spec_rejects_booleans_and_text_in_A_and_p(A, p):
+    # a float conversion reads true as 1.0 and "2" as 2.0
+    m = len(p)
+    with pytest.raises(SpecValidationError, match="not text or booleans"):
+        ModelSpec(m=m, A=A, p=p)
 
 
 def test_kernel_examples(m1_spec, bip_spec):

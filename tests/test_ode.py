@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from multicoag import (
+    CriticalityError,
     IntegrationError,
     ModelSpec,
     OdeConfig,
@@ -22,7 +23,8 @@ from multicoag import (
     mass_vector,
     solve_window,
 )
-from multicoag import ode
+from multicoag import ode, pgf
+from multicoag.cli import main
 from multicoag.model import WindowMasses, _window_array
 from multicoag.ode import FORMS, _fft_length
 
@@ -309,6 +311,31 @@ def test_closed_form_solves_the_window_ode(request, name, n_max):
         want = w * ((comp.sum(axis=1) - 1.0) / t - s)
         assert np.all(dw[w == 0.0] == 0.0)
         assert np.max(np.abs(dw - want)) <= 16 * ulp * largest_pair_term(spec, comp, w, s)
+
+
+@pytest.mark.parametrize("name, n_max", [("m1_spec", 60), ("two_type_spec", 30)])
+def test_closed_form_matches_reduced_rk4_past_t_c(request, monkeypatch, tmp_path, name, n_max):
+    """Past T_c the closed form still solves the reduced window system.
+
+    The reduced loss freezes the mass at p, so the window system is triangular
+    in |n| and each w_n is entire in t; only the subcritical guard keeps
+    solve_window from evaluating it there.  With the guard bypassed in this
+    test alone, the closed form at 1.5 T_c matched reduced RK4 at dt = 1e-3 to
+    5.1e-15 (m1, N = 60) and 1.8e-15 (two_type, N = 30); the bound 1e-12 sits
+    about 200 and 550 times above.  The library and the CLI keep the guard.
+    """
+    spec = request.getfixturevalue(name)
+    t = 1.5 * gelation_time(spec).T_c
+    with pytest.raises(CriticalityError):
+        solve_window(spec, t, n_max)
+    path, out = tmp_path / "model.json", tmp_path / "w.csv"
+    spec.to_json(str(path))
+    assert main(["solve", str(path), "--t", repr(t), "--nmax", "5", "--out", str(out)]) == 3
+    assert not out.exists()
+    snap = integrate(spec, TruncationWindow(n_max), OdeConfig(dt=1e-3, form="reduced"), t_end=t)[-1]
+    monkeypatch.setattr(pgf, "require_subcritical", lambda spec, t: gelation_time(spec).T_c)
+    exact = solve_window(spec, t, n_max).entries.array
+    assert np.max(np.abs(exact - snap.dist.entries.array)) <= 1e-12
 
 
 def test_derivative_is_a_window_mapping(m3_spec):

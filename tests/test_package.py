@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
 import sys
+from importlib import import_module
 
 import pytest
 
@@ -80,3 +82,21 @@ def test_each_command_loads_only_what_it_runs(tmp_path, argv, not_loaded):
     code, loaded = json.loads(proc.stdout.splitlines()[-1])
     assert code == 0
     assert not set(not_loaded) & set(loaded)
+
+
+def test_benchmark_worker_imports_exist():
+    # bench/worker.py is read as text, not imported: a public name it imports
+    # that leaves multicoag.__all__, or a module constant it reads that goes,
+    # would fail every benchmark run before its first request
+    worker = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "bench", "worker.py")
+    with open(worker, encoding="utf-8") as f:
+        tree = ast.parse(f.read(), filename=worker)
+    imports = [(node.module, alias.name) for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("multicoag")
+               for alias in node.names]
+    assert ("multicoag.branching_mc", "BLOCK_SIZE") in imports
+    public = [name for module, name in imports if module == "multicoag"]
+    assert public and [n for n in public if n not in multicoag.__all__] == []
+    assert [(module, name) for module, name in imports if module != "multicoag"
+            and not hasattr(import_module(module), name)] == []
