@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalBreakdownError, SpecValidationError
-from .model import (ModelSpec, SizeDistribution, WindowMasses, _count, _window_array,
-                    as_composition)
+from .model import (ModelSpec, SizeDistribution, WindowMasses, _count, _root_type,
+                    _window_array, as_composition)
 from . import pgf
 
 BREAKDOWN_FLOOR = -1e-10         # det(I - B) below this on a reachable cell signals breakdown
@@ -50,25 +50,28 @@ def _one_row(spec: ModelSpec, n) -> np.ndarray:
     return np.array([comp], dtype=np.int64)
 
 
-def _tree_shaped(spec: ModelSpec, comps: np.ndarray) -> np.ndarray:
-    """Rows n for which some tree with n_l nodes of type l has only A > 0 edges.
-
-    That holds iff the kernel graph induced on supp(n) is connected and,
-    when n = N e_l, N = 1 or A_ll > 0.
+def _reachable(spec: ModelSpec, comps: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """Rows n that some tree from a type-roots[row] root produces: n_i >= 1 at the
+    root type i, no non-root node of a type with p_l = 0, and a tree with n_l
+    nodes of type l and only A > 0 edges.  Such a tree exists iff the kernel
+    graph induced on supp(n) is connected and, when n = N e_l, N = 1 or A_ll > 0.
     """
+    rows = np.arange(len(comps))
+    at_root, empty = comps[rows, roots], spec.p == 0.0
     supp = comps > 0
     adj = (spec.A > 0.0).astype(float)
     seen = np.zeros_like(supp)
-    seen[np.arange(len(comps)), supp.argmax(axis=1)] = True
-    while True:  # grow from one type of each row's support to its whole component
+    seen[rows, roots] = True
+    while True:  # grow from the root type to its whole component in supp(n)
         grown = supp & (seen | (seen @ adj > 0.0))
         if np.array_equal(grown, seen):
             break
         seen = grown
-    connected = np.all(seen == supp, axis=1)
-    single = supp.sum(axis=1) == 1
-    loop = np.diagonal(spec.A)[supp.argmax(axis=1)] > 0.0
-    return connected & (~single | loop | (comps.sum(axis=1) == 1))
+    # sum(x.T) adds the m columns, several times faster than x.sum(axis=1); seen lies
+    # in supp(n), so equal counts mean the root's component is all of supp(n)
+    shaped = (at_root < sum(comps.T)) | (np.diagonal(spec.A)[roots] > 0.0) | (at_root == 1)
+    return ((at_root > 0) & (comps @ empty == empty[roots])  # no non-root node of an empty type
+            & (sum(seen.T) == sum(supp.T)) & shaped)
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")  # log 0 = -inf; the rest is checked
@@ -76,8 +79,7 @@ def _log_progeny(spec: ModelSpec, t: float, comps: np.ndarray,
                  roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """log P(T_i = n) and the precision flag for each row n of comps, i = roots[row].
 
-    Every row must be reachable from its root: n_i >= 1, no non-root node
-    of a type with p_l = 0, and a tree shape (see _tree_shaped).  A row whose
+    Every row must be reachable from its root (_reachable).  A row whose
     value is NaN or +inf (a kernel near the float range overflows n A) raises
     NumericalBreakdownError.
     """
@@ -109,18 +111,19 @@ def _log_progeny(spec: ModelSpec, t: float, comps: np.ndarray,
 def _solve_rows(spec: ModelSpec, t: float, comps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """log w_n(t) and the precision flag for each row n of comps.
 
-    A row is reachable iff supp(n) lies in supp(p) and n is tree-shaped;
-    the others are exactly -inf and unflagged.  The root is the first
-    component with n_i > 0.  With assertions enabled the batch also holds
+    The root is the first component with n_i > 0; a row is reachable iff p_i > 0
+    and _reachable holds (supp(n) in supp(p), n tree-shaped), the others are
+    exactly -inf and unflagged.  With assertions enabled the batch also holds
     every other root, and each is required to give the same value.
     """
     pgf.require_subcritical(spec, t)
     supp = comps > 0
-    reach = np.flatnonzero(~np.any(supp & (spec.p == 0.0), axis=1) & _tree_shaped(spec, comps))
+    lead = supp.argmax(axis=1)
+    reach = np.flatnonzero((spec.p[lead] > 0.0) & _reachable(spec, comps, lead))
     if __debug__:
         at, roots = np.nonzero(supp[reach])  # row-major: each row's first root comes first
     else:
-        at, roots = np.arange(len(reach)), supp[reach].argmax(axis=1)
+        at, roots = np.arange(len(reach)), lead[reach]
     pairs = comps[reach[at]]
     log_p, flags = _log_progeny(spec, t, pairs, roots)
     log_pair = log_p + np.log(spec.p[roots] / pairs[np.arange(len(at)), roots])
@@ -141,16 +144,15 @@ def _solve_rows(spec: ModelSpec, t: float, comps: np.ndarray) -> tuple[np.ndarra
 
 
 def progeny_pmf(spec: ModelSpec, t: float, i: int, n) -> float:
-    """Probability that the total progeny by type of a type-i root equals n."""
+    """Probability that the total progeny by type of a type-i root equals n: i is
+    read by model._root_type (p_i = 0 allowed), n by as_composition, and a
+    composition that no tree from i produces (_reachable) is an exact zero."""
     pgf.require_subcritical(spec, t)
-    if not 0 <= int(i) < spec.m:
-        raise SpecValidationError(f"root type {i} out of range")
+    roots = np.array([_root_type(spec.m, i)])
     comp = _one_row(spec, n)
-    k = comp[0].copy()
-    k[int(i)] -= 1
-    if k.min() < 0 or np.any((k > 0) & (spec.p == 0.0)) or not _tree_shaped(spec, comp)[0]:
+    if not _reachable(spec, comp, roots)[0]:
         return 0.0
-    log_p, _ = _log_progeny(spec, t, comp, np.array([int(i)]))
+    log_p, _ = _log_progeny(spec, t, comp, roots)
     return math.exp(log_p[0])
 
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SpecValidationError
-from .model import Composition, ModelSpec, _count, _time, _whole_number, as_composition
+from .model import Composition, ModelSpec, _count, _root_type, _time, _whole_number, as_composition
 
 BLOCK_SIZE = 4096
 GROUP_BLOCKS = 4  # blocks advanced in lockstep by one call of _simulate_blocks
@@ -79,14 +79,11 @@ class McPmfEstimate:
 
 
 def _resolve_root(spec: ModelSpec, root: int | str | None) -> int | str:
-    """RANDOM_ROOT for None or RANDOM_ROOT (the root type drawn from p), or the
-    root as an int when it is a non-boolean integer type index of spec."""
+    """RANDOM_ROOT for None or RANDOM_ROOT (the root type drawn from p), else the
+    root type as model._root_type reads it."""
     if root is None or (isinstance(root, str) and root == RANDOM_ROOT):
         return RANDOM_ROOT
-    if isinstance(root, bool) or not isinstance(root, (int, np.integer)) or not 0 <= root < spec.m:
-        raise SpecValidationError(
-            f"root must be {RANDOM_ROOT!r} or a type index in [0, {spec.m}), got {root!r}")
-    return int(root)
+    return _root_type(spec.m, root)
 
 
 def _rate(spec: ModelSpec, t: float) -> np.ndarray:
@@ -127,7 +124,7 @@ def _simulate_blocks(spec: ModelSpec, t: float, root: int | str, cap: int, seed:
         if root == RANDOM_ROOT:
             counts[np.arange(a, e), rng.choice(spec.m, size=e - a, p=spec.p)] = 1
         else:
-            counts[a:e, int(root)] = 1
+            counts[a:e, root] = 1
     live = np.arange(size, dtype=np.int32)  # a group has at most GROUP_BLOCKS * BLOCK_SIZE rows
     z = counts.copy()
     total = np.ones(size, dtype=dtype)  # progeny so far of each live row

@@ -151,12 +151,12 @@ def cmd_gelation(args: argparse.Namespace) -> int:
     if not report.irreducible:
         print("warning: reducible instance; each block has its own critical time",
               file=sys.stderr)
-    print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-    if args.out:
+    text = json.dumps(report.to_dict(), indent=2, sort_keys=True)
+    if args.out:  # written before anything is printed, so a bad path prints nothing
         with open(args.out, "w", encoding="utf-8") as f:
-            json.dump(report.to_dict(), f, indent=2, sort_keys=True)
-            f.write("\n")
+            f.write(text + "\n")
         _manifest(args, spec, [args.out], t0)
+    print(text)
     return EXIT_OK
 
 

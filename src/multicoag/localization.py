@@ -20,7 +20,7 @@ import numpy as np
 
 from . import analytic, pgf
 from .errors import ConvergenceError, HypothesisError, SpecValidationError
-from .model import ModelSpec, _count, _time, _whole_number
+from .model import ModelSpec, _count, _time
 
 BOUNDARY_TOL = 1e-14     # iterate this close to the boundary => boundary-minimum flag
 ARMIJO_C1 = 1e-4
@@ -172,9 +172,9 @@ def empirical_rate(spec: ModelSpec, t: float, rho, n_list) -> RateSequence:
         raise HypothesisError("rate evaluation requires p_i > 0 for every component")
     pgf.require_subcritical(spec, t)
     r = as_simplex_point(rho, spec.m)
-    n_list = [_whole_number("n_list entry", n) for n in n_list]
-    if not n_list or any(n < 1 for n in n_list):
-        raise SpecValidationError("n_list must contain positive integers")
+    n_list = [_count("n_list entry", n) for n in n_list]
+    if not n_list:
+        raise SpecValidationError("n_list must not be empty")
 
     points: list[tuple[int, float]] = []
     flags: list[bool] = []

@@ -32,30 +32,23 @@ FORMS = ("reduced", "full")  # ODE loss term: frozen p, or the windowed mass vec
 
 
 def as_composition(n: Iterable[int], m: int | None = None) -> Composition:
-    """Coerce to a tuple of nonnegative ints, optionally checking the length;
-    SpecValidationError for anything else (text, None, nan, inf, a bare number)."""
+    """A tuple of ints, each entry read by _whole_number and >= 0, optionally of length m;
+    SpecValidationError for anything else (a bool, text, None, nan, inf, a fraction,
+    a bare number).  Integral floats and numpy integers are read as ints."""
     try:
-        values = list(n)
+        comp = tuple(_whole_number("composition entry", v) for v in n)
     except TypeError:
         raise SpecValidationError(f"a composition must be a sequence of integers, got {n!r}") from None
-    out = []
-    for v in values:
-        try:
-            iv = int(v)
-        except (TypeError, ValueError, OverflowError):
-            iv = None
-        if iv is None or iv != v or iv < 0:
-            raise SpecValidationError(f"composition entries must be nonnegative integers, got {v!r}")
-        out.append(iv)
-    comp = tuple(out)
+    if min(comp, default=0) < 0:
+        raise SpecValidationError(f"composition entries must be >= 0, got {comp}")
     if m is not None and len(comp) != m:
         raise SpecValidationError(f"composition has {len(comp)} components, expected {m}")
     return comp
 
 
 def composition_size(n: Iterable[int]) -> int:
-    """Total monomer count |n|."""
-    return int(sum(n))
+    """Total monomer count |n| of a composition, as read by as_composition."""
+    return sum(as_composition(n))
 
 
 def _whole_number(name: str, value) -> int:
@@ -77,6 +70,14 @@ def _count(name: str, value) -> int:
     if whole < 1:
         raise SpecValidationError(f"{name} must be >= 1, got {value!r}")
     return whole
+
+
+def _root_type(m: int, root) -> int:
+    """The one check of a root type (progeny_pmf, the Monte Carlo samplers): an int or
+    a numpy integer, not a bool, in [0, m); SpecValidationError for anything else."""
+    if isinstance(root, bool) or not isinstance(root, (int, np.integer)) or not 0 <= root < m:
+        raise SpecValidationError(f"root must be a type index in [0, {m}), got {root!r}")
+    return int(root)
 
 
 def _real(name: str, value) -> float:
@@ -382,7 +383,7 @@ class SizeDistribution:
         clean: dict[Composition, float] = {}
         for n, w in self.entries.items():
             comp = as_composition(n, self.m)
-            if composition_size(comp) < 1:
+            if sum(comp) < 1:
                 raise SpecValidationError("distribution entries need |n| >= 1")
             clean[comp] = float(w)
         self.entries = clean

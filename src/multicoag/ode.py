@@ -40,7 +40,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import IntegrationError, SpecValidationError
+from .errors import IntegrationError, NumericalBreakdownError, SpecValidationError
 from .model import (
     FORMS,
     MASS_FLOOR,
@@ -209,7 +209,11 @@ class _WindowOperator:
         self.spec = spec
         self.comp = _window_array(spec.m, window.n_max).astype(float)
         self.sizes = self.comp.sum(axis=1)
-        self.loss_reduced = self.comp @ (spec.A @ spec.p)
+        with np.errstate(over="ignore"):  # checked just below, once per operator
+            self.loss_reduced = self.comp @ (spec.A @ spec.p)
+        if not np.all(np.isfinite(self.loss_reduced)):
+            size = self.sizes[~np.isfinite(self.loss_reduced)].min()
+            raise NumericalBreakdownError(f"the loss rate n . (A p) overflows from |n| = {size:.0f} on")
         self.gain_lam, self.gain_proj = _quadratic_form(spec.A, self.comp)
         self.pattern_lam, self.pattern_proj = _quadratic_form(
             (spec.A > 0.0).astype(float), (self.comp > 0.0).astype(float))
@@ -322,7 +326,7 @@ def integrate(spec: ModelSpec, window: TruncationWindow, config: OdeConfig,
 
     for target in records:
         span = target - t
-        if span > 1e-15:
+        if span > 0.0:
             n_steps = max(1, math.ceil(span / config.dt - 1e-12))
             h = span / n_steps
             for _ in range(n_steps):

@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CriticalityError, SpecValidationError
-from .model import Composition, ModelSpec, _window_array
+from .model import Composition, ModelSpec, _count, _time, _window_array
 from . import pgf
 
 SERIES_CAP_MULTI = 30            # dense-table degree limit for m >= 2
@@ -44,9 +44,7 @@ def series_oracle(spec: ModelSpec, t: float, degree_cap: int,
     graded-lex order and root types inside each.
     """
     tc = pgf.require_subcritical(spec, t)
-    cap = int(degree_cap)
-    if cap < 1:
-        raise SpecValidationError("degree_cap must be >= 1")
+    cap = _count("degree_cap", degree_cap)
     limit = SERIES_CAP_SINGLE if spec.m == 1 else SERIES_CAP_MULTI
     if cap > limit:
         raise SpecValidationError(f"degree_cap {cap} exceeds the m={spec.m} limit of {limit}")
@@ -131,9 +129,7 @@ def borel_oracle(t: float, n: int) -> float:
     """
     if not 0.0 < t < 1.0:
         raise CriticalityError(f"closed form requires 0 < t < 1, got t={t!r}")
-    n = int(n)
-    if n < 1:
-        raise SpecValidationError("n must be >= 1")
+    n = _count("n", n)
     return math.exp((n - 2) * math.log(n) + (n - 1) * math.log(t) - n * t - math.lgamma(n + 1))
 
 
@@ -144,8 +140,7 @@ def pde_residual(spec: ModelSpec, t: float, x, h: float) -> np.ndarray:
     (one-sided second-order at boundaries where t - h <= 0 or x_j - h < 0);
     the residual should vanish like O(h^2) for t below the critical time.
     """
-    if h <= 0.0:
-        raise SpecValidationError("h must be > 0")
+    h = _time("h", h, positive=True)
     x = np.asarray(x, dtype=float)
     tc = pgf.require_subcritical(spec, t)
     if t + 2.0 * h >= tc:

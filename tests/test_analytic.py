@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 import os
 import subprocess
@@ -219,6 +220,66 @@ def test_progeny_pmf_requires_subcritical(m1_spec):
         progeny_pmf(m1_spec, 1.0, 0, (2,))
     with pytest.raises(CriticalityError):
         progeny_pmf(m1_spec, 1.7, 0, (2,))
+
+
+@pytest.mark.parametrize("root", [1.7, 1.0, True, np.True_, "x", None, -1, "m"], ids=repr)
+def test_progeny_pmf_root_must_be_a_type_index(two_type_spec, root):
+    # 1.7, 1.0 and True once ran as type int(root), and "x" and None raised a bare
+    # ValueError and TypeError; "m" is the first index past the types
+    root = two_type_spec.m if isinstance(root, str) and root == "m" else root
+    with pytest.raises(SpecValidationError, match="^root must be a type index"):
+        progeny_pmf(two_type_spec, 0.3, root, (1, 1))
+
+
+def test_progeny_pmf_takes_numpy_integer_roots(two_type_spec):
+    for i in range(2):
+        want = progeny_pmf(two_type_spec, 0.3, i, (2, 1))
+        assert want > 0.0
+        for root in (np.int64(i), np.int32(i), np.uint8(i)):
+            assert progeny_pmf(two_type_spec, 0.3, root, (2, 1)) == want
+
+
+# sha256 of the float64 values of solve_window (n_max 12), of solve on every
+# |n| <= 6 and of progeny_pmf from every root type on |n| <= 6, keyed by
+# (instance, t / T_c, entry point).  m4 has a type with p_l = 0, used as a
+# progeny_pmf root.  Recorded from the code in which progeny_pmf tested
+# reachability by hand; the shared rule must give the same bytes.  numpy's
+# LAPACK determinant defines them, so a numpy build with another LAPACK may
+# fail this test first.
+EXACT_DIGESTS = {
+    ("demo", 0.5, "window"): "f879c57acc4e6672026947cc3daf5a88bea0cfd0600ea988c1117ce520e887f7",
+    ("demo", 0.5, "solve"): "656dd38b930c938de49d8cc736867696cc0bb053467081b65b5d9c7843f94daa",
+    ("demo", 0.5, "progeny_pmf"): "8a2861c7c4360ce0d659080f2a49079f950d147b147e7df83791ff36e905bd53",
+    ("demo", 0.9, "window"): "890b75aa159334ab8e3ac9672d1e4098926e60d9cd4c7baadd4ef2d4234f8f44",
+    ("demo", 0.9, "solve"): "75c055a5bb9a010e30c280d2175e3f4bc349c471461700c31731cfa4d910d019",
+    ("demo", 0.9, "progeny_pmf"): "da9307a9965a4df41878511d81dc9f3a08ae90f8334ad16873f1c393fae6f98e",
+    ("m3", 0.5, "window"): "12e13120793a6701c950db7dc758d45c60cbc04654d58c4b28eca8038dcec5b6",
+    ("m3", 0.5, "solve"): "c523eeba034d06e004fc72269fb6179fb66a8bb2defa1f1ea5810931dfca0a8b",
+    ("m3", 0.5, "progeny_pmf"): "664489c17f8997ae0ad767ac464201a656ea318043d618139c54603e17ce6062",
+    ("m3", 0.9, "window"): "02d436fe187de0357482fcf96d64ebbc7806ea2c46dd0e9e79529bbb32a8146b",
+    ("m3", 0.9, "solve"): "3b2d5dfc71697b4030d8df5db3a351cc54eff370c29512629ab2c0a28479520b",
+    ("m3", 0.9, "progeny_pmf"): "71a0ef35028399791c7fcbd2402e326e1ef3739415c1802546ed67834b564c2d",
+    ("m4", 0.5, "window"): "da889728d15b62e0dc5ba4d639956ee50645ce1b4319d52d9b06a07d0d10b563",
+    ("m4", 0.5, "solve"): "9ffe4003fce799a68710a4c0f3c90d1d4d4e38389963ec46a194faefcbb7cef4",
+    ("m4", 0.5, "progeny_pmf"): "e078353e59c70b10e2f463c35fb34baa2fc8516b6f9c3bd574bc14189b10092b",
+    ("m4", 0.9, "window"): "985e2fde3802b0bd68df998e15de21e7cff93860e2b650adf55acb72a21836c6",
+    ("m4", 0.9, "solve"): "6b16ffc35b91e127fd8310808b1f1485e97d3ff35700fcc613405cf1bb8294f0",
+    ("m4", 0.9, "progeny_pmf"): "8b4ecf71e7d82297a1bd13b34b0121423c965aa36a05a95eeccff546c280fa01",
+}
+
+
+@pytest.mark.parametrize("label, frac", sorted({key[:2] for key in EXACT_DIGESTS}), ids=str)
+def test_exact_values_pinned(request, label, frac):
+    spec = request.getfixturevalue({"demo": "asym2_spec", "m3": "m3_spec", "m4": "m4_spec"}[label])
+    t = frac * gelation_time(spec).T_c
+    cells = compositions_up_to(spec.m, 6)
+    values = {
+        "window": solve_window(spec, t, 12).entries.array,
+        "solve": np.array([solve(spec, t, n) for n in cells]),
+        "progeny_pmf": np.array([progeny_pmf(spec, t, i, n) for n in cells for i in range(spec.m)]),
+    }
+    for kind, v in values.items():
+        assert hashlib.sha256(v.tobytes()).hexdigest() == EXACT_DIGESTS[label, frac, kind], kind
 
 
 def test_progeny_pmf_normalization(m1_spec):

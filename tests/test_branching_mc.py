@@ -63,7 +63,7 @@ def test_invalid_root_rejected(bip_spec):
         sample_progeny_batch(bip_spec, -0.5, 0, McConfig(replicates=1))
 
 
-@pytest.mark.parametrize("root", [1.5, True, "foo", -1, "m"], ids=str)
+@pytest.mark.parametrize("root", [1.5, 1.0, True, "foo", -1, "m"], ids=str)
 def test_root_must_be_random_or_a_type_index(two_type_spec, root):
     # a float or bool root once ran as type int(root); "m" is the first index past the types
     root = two_type_spec.m if root == "m" else root

@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -154,6 +155,21 @@ def test_solve_three_methods_agree(spec_files, tmp_path):
         assert abs(freq - prob) <= 4 * se
 
 
+def test_solve_ode_steps_a_span_below_1e_15(tmp_path):
+    # T_c = 1e-20: the ODE once skipped every record interval shorter than 1e-15
+    # and wrote the initial state, w_1 = 1, with exit 0
+    spec = tmp_path / "fast.json"
+    spec.write_text(json.dumps({"m": 1, "A": [[1e20]], "p": [1.0]}))
+    w1 = {}
+    for method in ("analytic", "ode"):
+        out = tmp_path / f"{method}.csv"
+        assert main(["solve", str(spec), "--t", "5e-21", "--nmax", "3", "--method", method,
+                     "--dt", "1e-23", "--out", str(out)]) == 0
+        w1[method] = float(next(csv.DictReader(out.open()))["w"])
+    assert w1["analytic"] == pytest.approx(math.exp(-0.5), rel=1e-12)
+    assert abs(w1["ode"] - w1["analytic"]) <= 1e-6
+
+
 def test_solve_ode_blowup_exit_5(spec_files, tmp_path, capsys):
     out = tmp_path / "blow.csv"
     assert main(["solve", spec_files["m1"], "--t", "20", "--nmax", "5",
@@ -263,6 +279,7 @@ def test_nonfinite_dt_exit_2(spec_files, tmp_path, capsys, dt):
 
 
 M1_MODEL = '{"m": 1, "A": [[1.0]], "p": [1.0]}'
+BIP_MODEL = '{"m": 2, "A": [[0.0, 1.0], [1.0, 0.0]], "p": [0.5, 0.5]}'
 
 
 @pytest.mark.parametrize("model, args, model_fault", [
@@ -308,6 +325,15 @@ M1_MODEL = '{"m": 1, "A": [[1.0]], "p": [1.0]}'
     (M1_MODEL, ["compare", "--t", "0.5", "--nmax", "5", "--mc-floor", "2"], False),
     (M1_MODEL, ["compare", "--t", "0.5", "--nmax", "5", "--mc-floor", "nan"], False),
     (M1_MODEL, ["compare", "--t", "0.5", "--nmax", "5", "--mc-floor", "0"], False),
+    # an output path in a missing directory: no report on stdout, no file, no manifest
+    (M1_MODEL, ["gelation", "--out", "NODIR"], False),
+    (M1_MODEL, ["solve", "--t", "0.5", "--nmax", "5", "--out", "NODIR"], False),
+    (M1_MODEL, ["solve", "--t", "0.5", "--nmax", "5", "--method", "ode", "--dt", "0.01",
+                "--out", "NODIR"], False),
+    (M1_MODEL, ["solve", "--t", "0.5", "--nmax", "5", "--method", "mc", "--replicates", "100",
+                "--out", "NODIR"], False),
+    (BIP_MODEL, ["localize", "--t", "0.5", "--rate-check", "0.5,0.5", "--rate-out", "NODIR"],
+     False),
 ], ids=["non_object_json", "malformed_json", "m_not_an_integer", "m_fractional", "m_boolean",
         "A_as_text", "p_as_text", "A_boolean", "p_boolean", "nested_too_deep",
         "rate_check_not_numbers", "n_list_not_numbers", "n_list_fractional",
@@ -316,18 +342,22 @@ M1_MODEL = '{"m": 1, "A": [[1.0]], "p": [1.0]}'
         "localize_t_0", "localize_t_negative", "mc_seed_negative", "compare_seed_negative",
         "tol_ode_nan", "tol_ode_negative", "mc_sigma_negative", "mc_sigma_inf",
         "deficit_tol_nan", "deficit_tol_negative", "mc_floor_above_1", "mc_floor_nan",
-        "mc_floor_0"])
+        "mc_floor_0", "gelation_out_no_dir", "analytic_out_no_dir", "ode_out_no_dir",
+        "mc_out_no_dir", "rate_out_no_dir"])
 def test_input_faults_exit_2_with_one_line(tmp_path, capsys, model, args, model_fault):
     # exit 1 is the compare verdict FAIL; only model-file faults read as a model error
     spec = tmp_path / "model.json"
     spec.write_text(model)
     out = tmp_path / "out.csv"
-    argv = [args[0], str(spec)] + [str(out) if a == "OUT" else a for a in args[1:]]
+    paths = {"OUT": str(out), "NODIR": str(tmp_path / "no_such_dir" / "out.csv")}
+    argv = [args[0], str(spec)] + [paths.get(a, a) for a in args[1:]]
     assert main(argv) == 2
-    err = capsys.readouterr().err.strip().splitlines()
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert ("invalid model instance" in err[0]) == model_fault
     assert not out.exists()
+    assert captured.out == "" and [p.name for p in tmp_path.iterdir()] == ["model.json"]
 
 
 HUGE_2 = {"m": 2, "A": [[1e308, 1e308], [1e308, 1e308]], "p": [0.5, 0.5]}
@@ -340,7 +370,13 @@ HUGE_1 = {"m": 1, "A": [[1e308]], "p": [1.0]}
     (HUGE_2, ["solve", "--t", "1e-310", "--nmax", "1", "--out", "OUT"], 0),
     (HUGE_2, ["solve", "--t", "1e-310", "--nmax", "3", "--out", "OUT"], 5),
     (HUGE_1, ["solve", "--t", "1e-310", "--nmax", "3", "--out", "OUT"], 5),
-], ids=["gelation_m2", "gelation_m1", "solve_singletons", "solve_m2", "solve_m1"])
+    # the ODE once overflowed its loss rate with a RuntimeWarning and wrote the initial state
+    (HUGE_2, ["solve", "--method", "ode", "--t", "1e-310", "--nmax", "3", "--dt", "1e-311",
+              "--out", "OUT"], 5),
+    (HUGE_1, ["solve", "--method", "ode", "--t", "1e-310", "--nmax", "3", "--dt", "1e-311",
+              "--out", "OUT"], 5),
+], ids=["gelation_m2", "gelation_m1", "solve_singletons", "solve_m2", "solve_m1", "ode_m2",
+        "ode_m1"])
 def test_kernel_near_the_float_range_gives_no_nan(tmp_path, capsys, model, args, code):
     # A = 1e308 once overflowed when symmetrized: gelation read T_c = Infinity or
     # 0.0 with exit 0, and solve wrote NaN cells with exit 0.  T_c is 1/1e308 on
@@ -349,7 +385,9 @@ def test_kernel_near_the_float_range_gives_no_nan(tmp_path, capsys, model, args,
     spec.write_text(json.dumps(model))
     out = tmp_path / "out"
     argv = [args[0], str(spec)] + [str(out) if a == "OUT" else a for a in args[1:]]
-    assert main(argv) == code
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warnings would reach stderr
+        assert main(argv) == code
     captured = capsys.readouterr()
     written = out.read_text() if out.exists() else ""
     for text in (captured.out, written):

@@ -19,6 +19,7 @@ from multicoag import (
     borel_oracle,
     composition_size,
     compositions_up_to,
+    empirical_rate,
     estimate_pmf,
     gamma,
     gamma_gradient,
@@ -26,10 +27,12 @@ from multicoag import (
     kernel,
     mass_vector,
     minimize_gamma,
+    pde_residual,
     sample_progeny_batch,
     solve,
     solve_fixed_point,
     solve_window,
+    series_oracle,
     validate,
     write_distribution_csv,
 )
@@ -102,6 +105,10 @@ def test_n_max_takes_integral_floats_as_ints(m1_spec, entry):
         assert got == 3 and type(got) is int
 
 
+SLOW_M1 = ModelSpec(m=1, A=[[0.01]], p=[1.0])
+M1 = ModelSpec(m=1, A=[[1.0]], p=[1.0])
+
+
 # every public entry point that takes a time or a time step, by the name its
 # error gives and whether it needs > 0 rather than >= 0
 TIME_ENTRY_POINTS = {
@@ -115,6 +122,8 @@ TIME_ENTRY_POINTS = {
     "integrate": ("t_end", True, lambda spec, t: integrate(
         spec, TruncationWindow(3), OdeConfig(dt=0.1), t_end=t)),
     "OdeConfig": ("dt", True, lambda spec, t: OdeConfig(dt=t)),
+    # on a slow kernel (T_c = 100), so that the stencil t + 2 h of every valid h stays subcritical
+    "pde_residual": ("h", True, lambda spec, h: pde_residual(SLOW_M1, 0.5, [0.5], h)),
 }
 
 
@@ -145,14 +154,19 @@ def test_subcritical_time_is_a_real_number_inside_the_critical_window(m1_spec, v
         solve(m1_spec, value, (1,))
 
 
-# every public entry point that takes a thread count or an iteration cap, by the
-# name its error gives; each must be a whole number >= 1
+# every public entry point that takes a thread count, an iteration cap, an oracle
+# size or a rate-sequence size, by the name its error gives; each must be a whole
+# number >= 1
 COUNT_ENTRY_POINTS = {
     "estimate_pmf": ("threads", lambda spec, k: estimate_pmf(
         spec, 0.5, None, McConfig(replicates=10), n_max=3, threads=k)),
     "sample_progeny_batch": ("threads", lambda spec, k: sample_progeny_batch(
         spec, 0.5, None, McConfig(replicates=10), threads=k)),
     "minimize_gamma": ("max_iter", lambda spec, k: minimize_gamma(spec, 0.5, max_iter=k)),
+    # the one-type oracle tables reach 1,000; series_oracle once read 2.5 as 2 and True as 1
+    "series_oracle": ("degree_cap", lambda spec, k: series_oracle(M1, 0.5, k)),
+    "borel_oracle": ("n", lambda spec, k: borel_oracle(0.5, k)),
+    "empirical_rate": ("n_list entry", lambda spec, k: empirical_rate(spec, 0.5, [0.5, 0.5], [k])),
 }
 
 
@@ -297,10 +311,44 @@ def test_as_composition_and_size():
         as_composition([1, -1], 2)
     with pytest.raises(SpecValidationError):
         as_composition([1], 2)
-    # text, None, nan, inf and a bare number raised TypeError, ValueError or OverflowError
-    for bad in (["x", 0], [None, 0], [math.nan, 0], [math.inf, 0], 5):
+    # text, None, nan, inf and a bare number raised TypeError, ValueError or OverflowError;
+    # booleans once read as 1 and 0, which model files refuse
+    for bad in (["x", 0], [None, 0], [math.nan, 0], [math.inf, 0], 5, [1.5, 0], [True, 0],
+                [np.True_, 0], [0, False]):
         with pytest.raises(SpecValidationError):
             as_composition(bad, 2)
+        with pytest.raises(SpecValidationError):
+            composition_size(bad)
+    for good in ([np.int64(2), 1], [2.0, np.float64(1.0)], (np.int32(2), np.uint8(1))):
+        comp = as_composition(good, 2)
+        assert comp == (2, 1) and all(type(v) is int for v in comp)
+        assert composition_size(good) == 3
+
+
+# every public entry point that takes a composition, reading it as as_composition does
+COMPOSITION_ENTRY_POINTS = {
+    "as_composition": lambda spec, n: as_composition(n, spec.m),
+    "solve": lambda spec, n: solve(spec, 0.5, n),
+    "kernel": lambda spec, n: kernel(spec, n, (1, 0)),
+    "McPmfEstimate.estimate": lambda spec, n: estimate_pmf(
+        spec, 0.5, None, McConfig(replicates=100), n_max=3).estimate(n),
+    "SizeDistribution": lambda spec, n: SizeDistribution(t=0.0, m=spec.m, entries={n: 0.5}).entries,
+}
+
+
+@pytest.mark.parametrize("cell", [(True, 1), (1, np.True_), (False, 1)], ids=repr)
+@pytest.mark.parametrize("entry", sorted(COMPOSITION_ENTRY_POINTS))
+def test_compositions_refuse_booleans(bip_spec, entry, cell):
+    # each once read True as 1 and False as 0
+    with pytest.raises(SpecValidationError, match="^composition entry must be"):
+        COMPOSITION_ENTRY_POINTS[entry](bip_spec, cell)
+
+
+@pytest.mark.parametrize("entry", sorted(COMPOSITION_ENTRY_POINTS))
+def test_compositions_take_integral_floats_and_numpy_integers(bip_spec, entry):
+    want = COMPOSITION_ENTRY_POINTS[entry](bip_spec, (1, 1))
+    for cell in ((1.0, 1), (np.int64(1), np.int32(1)), (np.float64(1.0), np.uint8(1))):
+        assert COMPOSITION_ENTRY_POINTS[entry](bip_spec, cell) == want
 
 
 def test_distribution_csv_roundtrip(tmp_path):
