@@ -83,7 +83,11 @@ def _resolve_root(spec: ModelSpec, root: int | str | None) -> int | str:
     root type as model._root_type reads it."""
     if root is None or (isinstance(root, str) and root == RANDOM_ROOT):
         return RANDOM_ROOT
-    return _root_type(spec.m, root)
+    try:
+        return _root_type(spec.m, root)
+    except SpecValidationError:  # whose message names only the type index
+        raise SpecValidationError(f"root must be None, {RANDOM_ROOT!r} or a type index in "
+                                  f"[0, {spec.m}), got {root!r}") from None
 
 
 def _rate(spec: ModelSpec, t: float) -> np.ndarray:

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import analytic, pgf
 from .errors import ConvergenceError, HypothesisError, SpecValidationError
-from .model import ModelSpec, _count, _time
+from .model import ModelSpec, _count, _reals, _time
 
 BOUNDARY_TOL = 1e-14     # iterate this close to the boundary => boundary-minimum flag
 ARMIJO_C1 = 1e-4
@@ -29,7 +29,7 @@ VALUE_NOISE = 1e-15      # absolute slack so backtracking survives the fp noise 
 
 def as_simplex_point(rho, m: int, interior: bool = True) -> np.ndarray:
     """Validate and exactly renormalize a point of the probability simplex."""
-    r = np.asarray(rho, dtype=float)
+    r = _reals("simplex point", rho)
     if r.shape != (m,):
         raise SpecValidationError(f"simplex point must have length {m}")
     if not np.all(np.isfinite(r)) or np.any(r < 0.0):
@@ -105,10 +105,6 @@ def minimize_gamma(spec: ModelSpec, t: float, tol: float = 1e-10,
     if np.any(spec.p <= 0.0):
         raise HypothesisError("localization requires p_i > 0 for every component")
     pgf.require_subcritical(spec, t)
-
-    if spec.m == 1:
-        rho = np.array([1.0])
-        return LocalizationResult(rho, gamma(spec, t, rho), 0.0, 0, True, False)
 
     rho = np.full(spec.m, 1.0 / spec.m)
     value = gamma(spec, t, rho)

@@ -88,6 +88,23 @@ def _real(name: str, value) -> float:
     return float(value)
 
 
+def _reals(name: str, values) -> np.ndarray:
+    """The one check of a real vector or matrix (A and p of a model, a simplex point,
+    a fixed-point x): a new float array; SpecValidationError for a ragged shape or an
+    entry that is text, a bool or no number.  A float array is taken without a scan."""
+    try:
+        out = np.array(values, dtype=float)
+        # the float conversion reads the text "2" as 2.0 and true as 1.0, so look at each
+        # entry as given, now that the shape is known to be rectangular
+        odd = [] if isinstance(values, np.ndarray) and values.dtype == float else [
+            e for e in np.array(values, dtype=object).flat if isinstance(e, (str, bytes, bool, np.bool_))]
+    except (TypeError, ValueError, OverflowError) as e:
+        raise SpecValidationError(f"{name} must be numeric ({e})") from None
+    if odd:
+        raise SpecValidationError(f"{name} must be numeric, not text or booleans: {odd[0]!r}")
+    return out
+
+
 def _time(name: str, value, positive: bool = False) -> float:
     """The one check of a time, a time step or a stopping tolerance, for every entry
     point that takes one: a finite real number >= 0, or > 0 when positive."""
@@ -136,17 +153,7 @@ class ModelSpec:
 
     def __post_init__(self) -> None:
         m = _whole_number("m", self.m)
-        try:
-            A = np.array(self.A, dtype=float)
-            p = np.array(self.p, dtype=float)
-            # the float conversion reads the text "2" as 2.0 and true as 1.0, so look
-            # at each entry as given, now that A and p are known to be rectangular
-            odd = [e for v in (self.A, self.p) for e in np.array(v, dtype=object).flat
-                   if isinstance(e, (str, bytes, bool, np.bool_))]
-        except (TypeError, ValueError, OverflowError) as e:
-            raise SpecValidationError(f"A and p must be numeric ({e})") from None
-        if odd:
-            raise SpecValidationError(f"A and p must be numeric, not text or booleans: {odd[0]!r}")
+        A, p = _reals("A", self.A), _reals("p", self.p)
         if m < 1:
             raise SpecValidationError("m must be >= 1")
         if A.shape != (m, m):
@@ -363,6 +370,18 @@ class WindowMasses(Mapping):
         return _ArrayItems(self)
 
 
+def _entry(m: int, n, w) -> tuple[Composition, float]:
+    """One entry of a sparse distribution: a composition of m entries with |n| >= 1, and
+    a mass read by _real that is finite and >= 0; SpecValidationError for anything else."""
+    comp = as_composition(n, m)
+    if sum(comp) < 1:
+        raise SpecValidationError("distribution entries need |n| >= 1")
+    mass = _real(f"mass of {comp}", w)
+    if not 0.0 <= mass < math.inf:
+        raise SpecValidationError(f"mass of {comp} must be finite and >= 0, got {w!r}")
+    return comp, mass
+
+
 @dataclass
 class SizeDistribution:
     """Sparse cluster-size distribution at a fixed time.
@@ -380,13 +399,7 @@ class SizeDistribution:
             if self.entries.m != self.m:
                 raise SpecValidationError(f"window has m={self.entries.m}, expected {self.m}")
             return
-        clean: dict[Composition, float] = {}
-        for n, w in self.entries.items():
-            comp = as_composition(n, self.m)
-            if sum(comp) < 1:
-                raise SpecValidationError("distribution entries need |n| >= 1")
-            clean[comp] = float(w)
-        self.entries = clean
+        self.entries = dict(_entry(self.m, n, w) for n, w in self.entries.items())
 
     @classmethod
     def monodisperse(cls, spec: ModelSpec) -> "SizeDistribution":
@@ -400,15 +413,23 @@ class SizeDistribution:
 
     @classmethod
     def from_csv(cls, path: str, t: float = 0.0) -> "SizeDistribution":
+        """The distribution in a CSV as write_distribution_csv writes it; SpecValidationError
+        naming the path and the line for a missing header or a malformed row."""
         with open(path, newline="", encoding="utf-8") as f:
             reader = csv.reader(f)
-            header = next(reader)
-            if header[-1] != "w" or any(h != f"n_{i+1}" for i, h in enumerate(header[:-1])):
-                raise SpecValidationError(f"unexpected CSV header {header!r}")
+            header = next(reader, [])
             m = len(header) - 1
+            if m < 1 or header != [*(f"n_{i+1}" for i in range(m)), "w"]:
+                raise SpecValidationError(f"{path}, line 1: need the header n_1,...,n_m,w, got {header!r}")
             entries = {}
             for row in reader:
-                entries[tuple(int(v) for v in row[:-1])] = float(row[-1])
+                try:  # the cells are text: each count must read as an int, the mass as a float
+                    if len(row) != m + 1:
+                        raise SpecValidationError(f"need {m + 1} cells, got {len(row)}")
+                    n, w = _entry(m, [int(v) for v in row[:-1]], float(row[-1]))
+                except ValueError as e:  # SpecValidationError included
+                    raise SpecValidationError(f"{path}, line {reader.line_num}: {e}") from None
+                entries[n] = w
         return cls(t=t, m=m, entries=entries)
 
 

@@ -27,14 +27,14 @@ of A, counts the nonzero terms of each cell (exactly, as nothing aliases),
 and along a trajectory is recomputed only when the support grows.  The loss
 term uses the frozen initial mass vector p (reduced form) or the
 instantaneous windowed mass vector (full form); both are exact
-matrix-vector products because the kernel is bilinear.  The gain does not
-depend on the form, so one operator per (spec, window) serves both.
+matrix-vector products because the kernel is bilinear.  Each integrate or
+derivative call builds and owns its operator; what is costly to build, the
+window's cells and its modular axis, is cached per (m, N_max).
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -168,7 +168,7 @@ class _Convolution:
     for the support count behind gain_zeros.  Buffers and the cell index are
     built here once, so a call only scatters, transforms in place and
     multiplies; a call with r ranks works on the first r slabs.  Not safe for
-    concurrent calls: the owner serializes them.
+    concurrent calls: each trajectory owns its operator and calls it in turn.
     """
 
     def __init__(self, m: int, n_max: int, rank: int):
@@ -203,11 +203,21 @@ class _Convolution:
 
 
 class _WindowOperator:
-    """Dense right-hand side over one window, for one spec and either loss form."""
+    """Right-hand side along one trajectory over one window, for one spec and loss form.
 
-    def __init__(self, spec: ModelSpec, window: TruncationWindow):
-        self.spec = spec
-        self.comp = _window_array(spec.m, window.n_max).astype(float)
+    The zero mask of the gain is kept for the union of the supports seen so
+    far.  Exact values only grow a support along a trajectory; the FFT noise
+    can clip a cell whose exact value lies below it, and keeping that cell in
+    the union spares a new mask on every step.  Cells outside the union of
+    reachable compositions stay exactly zero.  `rebuilds` counts the masks
+    made so far, one gain_zeros call each time the union grows.
+    """
+
+    def __init__(self, spec: ModelSpec, n_max: int, form: str):
+        if form not in FORMS:
+            raise SpecValidationError(f"form must be one of {FORMS}")
+        self.spec, self.form = spec, form
+        self.comp = _window_array(spec.m, n_max).astype(float)
         self.sizes = self.comp.sum(axis=1)
         with np.errstate(over="ignore"):  # checked just below, once per operator
             self.loss_reduced = self.comp @ (spec.A @ spec.p)
@@ -218,34 +228,31 @@ class _WindowOperator:
         self.pattern_lam, self.pattern_proj = _quadratic_form(
             (spec.A > 0.0).astype(float), (self.comp > 0.0).astype(float))
         # one set of buffers for the gain and the zero mask, sized for the larger rank
-        self.convolution = _Convolution(spec.m, window.n_max,
+        self.convolution = _Convolution(spec.m, n_max,
                                         max(len(self.gain_lam), len(self.pattern_lam)))
-        self._lock = threading.Lock()
+        self.seen = np.zeros(len(self.comp), dtype=bool)
+        self.zeros = np.ones(len(self.comp), dtype=bool)
+        self.rebuilds = 0
 
     def gain_zeros(self, support: np.ndarray) -> np.ndarray:
-        """Cells where every pair-sum term K(k,l) w_k w_l vanishes when supp(w) = support.
+        """Cells where every pair-sum term K(k,l) w_k w_l vanishes when supp(w) = support."""
+        return self.convolution(self.pattern_lam, self.pattern_proj * support) < 0.5
 
-        Not cached: along a trajectory _TrajectoryRhs asks only when its support grows.
-        """
-        with self._lock:
-            return self.convolution(self.pattern_lam, self.pattern_proj * support) < 0.5
-
-    def derivative(self, w: np.ndarray, zeros: np.ndarray, form: str) -> tuple[np.ndarray, float]:
-        """Returns (dw/dt, outbound mass flux rate) in `form`; the gain is 0 on `zeros`."""
-        with self._lock:
-            gain = 0.5 * self.convolution(self.gain_lam, self.gain_proj * w)
-        gain[zeros] = 0.0
+    def __call__(self, w: np.ndarray) -> tuple[np.ndarray, float]:
+        """Returns (dw/dt, outbound mass flux rate) at w, after growing the mask's support by w's."""
+        nonzero = w != 0.0
+        if (nonzero & ~self.seen).any():
+            self.seen[nonzero] = True
+            self.zeros = self.gain_zeros(self.seen)
+            self.rebuilds += 1
+        gain = 0.5 * self.convolution(self.gain_lam, self.gain_proj * w)
+        gain[self.zeros] = 0.0
         mw = self.comp.T @ w
-        loss_rate = self.comp @ (self.spec.A @ mw) if form == "full" else self.loss_reduced
+        loss_rate = self.comp @ (self.spec.A @ mw) if self.form == "full" else self.loss_reduced
         # total merge mass throughput minus the part landing inside the window
         q = self.comp.T @ (w * self.sizes)
         flux = float(q @ (self.spec.A @ mw) - self.sizes @ gain)
         return gain - w * loss_rate, flux
-
-
-@lru_cache(maxsize=8)
-def _operator(spec: ModelSpec, n_max: int) -> _WindowOperator:
-    return _WindowOperator(spec, TruncationWindow(n_max))
 
 
 def derivative(spec: ModelSpec, dist: SizeDistribution, window: TruncationWindow,
@@ -256,38 +263,9 @@ def derivative(spec: ModelSpec, dist: SizeDistribution, window: TruncationWindow
     SpecValidationError), and form one of FORMS.  Returns dw/dt at every
     window cell, zeros included.
     """
-    if form not in FORMS:
-        raise SpecValidationError(f"form must be one of {FORMS}")
-    op = _operator(spec, window.n_max)
-    w = scatter_window(spec.m, window.n_max, dist.entries)
-    dw, _ = op.derivative(w, op.gain_zeros(w != 0.0), form)
+    rhs = _WindowOperator(spec, window.n_max, form)
+    dw, _ = rhs(scatter_window(spec.m, window.n_max, dist.entries))
     return WindowMasses(spec.m, window.n_max, dw)
-
-
-class _TrajectoryRhs:
-    """Right-hand side along one trajectory, with the zero mask of the gain kept
-    for the union of the supports seen so far.
-
-    Exact values only grow a support along a trajectory; the FFT noise can clip
-    a cell whose exact value lies below it, and keeping that cell in the union
-    spares a new mask on every step.  Cells outside the union of reachable
-    compositions stay exactly zero.  `rebuilds` counts the masks made so far,
-    one gain_zeros call each time the union grows.
-    """
-
-    def __init__(self, op: _WindowOperator, form: str):
-        self.op, self.form = op, form
-        self.seen = np.zeros(len(op.comp), dtype=bool)
-        self.zeros = np.ones(len(op.comp), dtype=bool)
-        self.rebuilds = 0
-
-    def __call__(self, w: np.ndarray) -> tuple[np.ndarray, float]:
-        nonzero = w != 0.0
-        if (nonzero & ~self.seen).any():
-            self.seen[nonzero] = True
-            self.zeros = self.op.gain_zeros(self.seen)
-            self.rebuilds += 1
-        return self.op.derivative(w, self.zeros, self.form)
 
 
 def integrate(spec: ModelSpec, window: TruncationWindow, config: OdeConfig,
@@ -308,8 +286,7 @@ def integrate(spec: ModelSpec, window: TruncationWindow, config: OdeConfig,
     if not all(0.0 <= r <= t_end for r in records) or sorted(records) != records:
         raise SpecValidationError("record_times must be sorted within [0, t_end]")
 
-    op = _operator(spec, window.n_max)
-    rhs = _TrajectoryRhs(op, config.form)
+    rhs = _WindowOperator(spec, window.n_max, config.form)
     w = scatter_window(spec.m, window.n_max, SizeDistribution.monodisperse(spec).entries)
     mass0 = float(spec.p.sum())
     clipped = np.zeros(len(w), dtype=bool)
@@ -320,7 +297,7 @@ def integrate(spec: ModelSpec, window: TruncationWindow, config: OdeConfig,
     def snap(at: float) -> OdeSnapshot:
         masses = WindowMasses(spec.m, window.n_max, np.where(w >= MASS_FLOOR, w, 0.0))
         dist = SizeDistribution(t=at, m=spec.m, entries=masses)
-        mw = op.comp.T @ w
+        mw = rhs.comp.T @ w
         return OdeSnapshot(dist=dist, mass=mw, flux_out=flux_acc, deficit=mass0 - float(mw.sum()),
                            clipped=int(clipped.sum()), mask_rebuilds=rhs.rebuilds)
 

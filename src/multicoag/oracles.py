@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CriticalityError, SpecValidationError
-from .model import Composition, ModelSpec, _count, _time, _window_array
+from .model import Composition, ModelSpec, _count, _reals, _time, _window_array
 from . import pgf
 
 SERIES_CAP_MULTI = 30            # dense-table degree limit for m >= 2
@@ -141,7 +141,7 @@ def pde_residual(spec: ModelSpec, t: float, x, h: float) -> np.ndarray:
     the residual should vanish like O(h^2) for t below the critical time.
     """
     h = _time("h", h, positive=True)
-    x = np.asarray(x, dtype=float)
+    x = _reals("x", x)
     tc = pgf.require_subcritical(spec, t)
     if t + 2.0 * h >= tc:
         raise CriticalityError("stencil reaches past T_c; shrink h or t")

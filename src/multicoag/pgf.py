@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, CriticalityError, SpecValidationError
-from .model import ModelSpec, _real, _support_blocks, _time
+from .model import ModelSpec, _real, _reals, _support_blocks, _time
 
 FIXED_POINT_MAX_ITER = 10**6
 
@@ -39,7 +39,7 @@ def solve_fixed_point(spec: ModelSpec, t: float, x, tol: float = 1e-13) -> Fixed
         finite and > 0 (a nan tol would never stop).
     """
     t, tol = _time("t", t), _time("tol", tol, positive=True)
-    x = np.asarray(x, dtype=float)
+    x = _reals("x", x)
     if x.shape != (spec.m,) or np.any(x < 0.0) or not np.all(np.isfinite(x)):
         raise SpecValidationError("x must be finite and >= 0 componentwise")
 

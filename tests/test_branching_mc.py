@@ -63,14 +63,16 @@ def test_invalid_root_rejected(bip_spec):
         sample_progeny_batch(bip_spec, -0.5, 0, McConfig(replicates=1))
 
 
-@pytest.mark.parametrize("root", [1.5, 1.0, True, "foo", -1, "m"], ids=str)
+@pytest.mark.parametrize("root", [1.5, 1.0, True, "foo", "rnd", -1, "m"], ids=str)
 def test_root_must_be_random_or_a_type_index(two_type_spec, root):
-    # a float or bool root once ran as type int(root); "m" is the first index past the types
+    # a float or bool root once ran as type int(root); "m" is the first index past the types;
+    # a mistyped "random" once read as if only a type index were allowed
     root = two_type_spec.m if root == "m" else root
     cfg = McConfig(replicates=1)
     for call in (lambda: sample_progeny_batch(two_type_spec, 0.3, root, cfg),
                  lambda: estimate_pmf(two_type_spec, 0.3, root, cfg, n_max=5)):
-        with pytest.raises(SpecValidationError, match="root"):
+        with pytest.raises(SpecValidationError,
+                           match=r"^root must be None, 'random' or a type index in \[0, 2\), got "):
             call()
 
 

@@ -103,10 +103,11 @@ def test_gradient_matches_central_differences(m3_spec, asym2_spec):
 
 
 def test_minimize_gamma_m1(m1_spec):
+    # one type: the projected gradient is exactly 0 at the only point, before any step
     res = minimize_gamma(m1_spec, 0.5)
-    assert res.converged
-    assert np.allclose(res.rho_star, [1.0])
+    assert res.rho_star.tolist() == [1.0]
     assert res.gamma_min == pytest.approx(0.5 - 1.0 - math.log(0.5), rel=1e-14)
+    assert (res.grad_norm, res.iterations, res.converged, res.boundary_minimum) == (0.0, 0, True, False)
 
 
 def test_minimize_gamma_stochastic_pinned(stoch_spec):

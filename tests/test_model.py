@@ -16,6 +16,7 @@ from multicoag import (
     SpecValidationError,
     TruncationWindow,
     as_composition,
+    as_simplex_point,
     borel_oracle,
     composition_size,
     compositions_up_to,
@@ -361,6 +362,74 @@ def test_distribution_csv_roundtrip(tmp_path):
     loaded = SizeDistribution.from_csv(path, t=0.25)
     for c, w in dist.entries.items():
         assert loaded.entries[c] == w  # 17 significant digits round-trip exactly
+
+
+# CSV faults, by the file's text and the line its error must name
+CSV_FAULTS = {
+    "empty file": ("", 1),
+    "no mass column": ("n_1,n_2\n1,0\n", 1),
+    "fractional count": ("n_1,n_2,w\n1,0,0.5\n1.5,0,0.25\n", 3),
+    "text count": ("n_1,n_2,w\nx,0,0.5\n", 2),
+    "boolean count": ("n_1,n_2,w\nTrue,0,0.5\n", 2),
+    "text mass": ("n_1,n_2,w\n1,0,abc\n", 2),
+    "nan mass": ("n_1,n_2,w\n1,0,nan\n", 2),
+    "negative mass": ("n_1,n_2,w\n1,0,0.5\n0,1,-0.25\n", 3),
+    "short row": ("n_1,n_2,w\n1,0.5\n", 2),
+    "blank row": ("n_1,n_2,w\n1,0,0.5\n\n", 3),
+    "empty composition": ("n_1,n_2,w\n0,0,0.5\n", 2),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(CSV_FAULTS))
+def test_distribution_csv_faults_name_the_path_and_the_line(tmp_path, fault):
+    # an empty file once raised StopIteration, and a bad cell a bare ValueError
+    text, line = CSV_FAULTS[fault]
+    path = tmp_path / "dist.csv"
+    path.write_text(text)
+    with pytest.raises(SpecValidationError, match=f"^{path}, line {line}: "):
+        SizeDistribution.from_csv(path)
+
+
+@pytest.mark.parametrize("mass", [math.nan, math.inf, -0.5, "0.5", None, True, np.True_], ids=repr)
+def test_distribution_masses_are_finite_nonnegative_reals(mass):
+    # the docstring has always said nonnegative; nan and -0.5 were taken, and text read as a number
+    with pytest.raises(SpecValidationError, match=r"^mass of \(1, 0\) must be"):
+        SizeDistribution(t=0.0, m=2, entries={(1, 0): mass})
+    for good in (0.5, 0, np.float64(0.5), np.float32(0.5), np.int64(1)):
+        assert SizeDistribution(t=0.0, m=2, entries={(1, 0): good}).entries == {(1, 0): float(good)}
+
+
+# every public entry point that takes a real vector, by the name its error gives
+REAL_VECTOR_ENTRY_POINTS = {
+    "ModelSpec": ("p", lambda spec, v: ModelSpec(m=2, A=spec.A, p=v)),
+    "as_simplex_point": ("simplex point", lambda spec, v: as_simplex_point(v, 2)),
+    "solve_fixed_point": ("x", lambda spec, v: solve_fixed_point(spec, 0.5, v)),
+    "pde_residual": ("x", lambda spec, v: pde_residual(spec, 0.5, v, 1e-3)),
+}
+
+
+@pytest.mark.parametrize("vector", [["x", 0.5], ["0.5", "0.5"], np.array(["0.5", "0.5"]), [True, False],
+                                    [0.5, np.True_], np.array([True, False]), "ab", [[0.5], [0.5, 0.5]],
+                                    {0: 0.5}], ids=repr)
+@pytest.mark.parametrize("entry", sorted(REAL_VECTOR_ENTRY_POINTS))
+def test_real_vectors_refuse_text_and_booleans(bip_spec, entry, vector):
+    # a float conversion reads "0.5" as 0.5 and True as 1.0, and raised a bare ValueError for "x"
+    name, call = REAL_VECTOR_ENTRY_POINTS[entry]
+    with pytest.raises(SpecValidationError, match=f"^{name} must be numeric"):
+        call(bip_spec, vector)
+
+
+@pytest.mark.parametrize("entry", sorted(REAL_VECTOR_ENTRY_POINTS))
+def test_real_vectors_take_python_and_numpy_reals(bip_spec, entry):
+    for vector in ([0.5, 0.5], (np.float64(0.5), 0.5), np.array([0.5, 0.5]),
+                   np.array([0.5, 0.5], dtype=np.float32)):
+        REAL_VECTOR_ENTRY_POINTS[entry][1](bip_spec, vector)
+
+
+def test_real_vectors_leave_the_given_array_alone():
+    p = np.array([0.5, 0.5])
+    spec = ModelSpec(m=2, A=[[1.0, 1.0], [1.0, 1.0]], p=p)
+    assert p.flags.writeable and spec.p is not p and not spec.p.flags.writeable
 
 
 def test_spec_json_roundtrip_and_hash(m3_spec, tmp_path):

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import gc
 import math
+import sys
+import threading
+import weakref
 from itertools import product
 
 import numpy as np
@@ -226,14 +230,12 @@ def test_modular_axis_matches_the_graded_box(m1_spec, bip_spec, asym2_spec, m3_s
                form) for spec, n_max in cases for _ in range(5) for form in FORMS]
 
     def derivatives():
-        ode._operator.cache_clear()
         return [derivative(spec, dist, window, form).array for spec, window, dist, form in inputs]
 
     got = derivatives()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ode, "_Convolution", GradedBoxConvolution)
         want = derivatives()
-    ode._operator.cache_clear()
     for (spec, window, dist, form), g, w in zip(inputs, got, want):
         if spec.m <= 2:
             assert g.tobytes() == w.tobytes()
@@ -249,7 +251,6 @@ def test_modular_axis_snapshots_are_the_graded_box_ones(request, name, n_max, fo
     cfg = OdeConfig(dt=1e-2, form=form, record_times=(0.2, 0.5))
 
     def run():
-        ode._operator.cache_clear()
         return [(s.dist.entries.array.tobytes(), s.mass.tobytes(), s.flux_out, s.clipped)
                 for s in integrate(spec, TruncationWindow(n_max), cfg, t_end=0.5)]
 
@@ -257,21 +258,57 @@ def test_modular_axis_snapshots_are_the_graded_box_ones(request, name, n_max, fo
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ode, "_Convolution", GradedBoxConvolution)
         want = run()
-    ode._operator.cache_clear()
     assert got == want
 
 
-def test_one_operator_per_window_serves_both_forms(asym2_spec):
-    # the gain is one convolution whatever closes the loss, so the form is no cache key
-    ode._operator.cache_clear()
-    for form in FORMS:
-        integrate(asym2_spec, TruncationWindow(40), OdeConfig(dt=1e-2, form=form), t_end=0.1)
-    assert ode._operator.cache_info().currsize == 1
+def test_one_operator_per_window_serves_both_forms():
     # one set of FFT buffers per window, as deep as the larger of the two ranks
-    op = ode._operator(LOW_RANK_SPEC, 8)
+    op = ode._WindowOperator(LOW_RANK_SPEC, 8, "reduced")
     assert (len(op.gain_lam), len(op.pattern_lam)) == (2, 3)
     assert op.convolution.grid.shape[0] == op.convolution.spectrum.shape[0] == 3
-    ode._operator.cache_clear()
+
+
+def test_calls_do_not_keep_the_spec_alive():
+    # each integrate and derivative call owns its operator, and nothing outlives the call
+    spec = ModelSpec(m=2, A=[[1.0, 2.0], [2.0, 1.0]], p=[0.7, 0.3])
+    window = TruncationWindow(10)
+    integrate(spec, window, OdeConfig(dt=1e-2), t_end=0.1)
+    derivative(spec, SizeDistribution.monodisperse(spec), window, "full")
+    ref = weakref.ref(spec)
+    del spec
+    gc.collect()
+    assert ref() is None
+
+
+def test_concurrent_trajectories_match_the_serial_run(m3_spec):
+    # two threads on the same (spec, window) share no FFT buffers, so each gets the serial bytes
+    window = TruncationWindow(12)
+    cfg = OdeConfig(dt=1e-3, form="full", record_times=(0.1, 0.3))
+
+    def run():
+        return [(s.dist.entries.array.tobytes(), s.mass.tobytes(), s.flux_out, s.deficit,
+                 s.clipped, s.mask_rebuilds) for s in integrate(m3_spec, window, cfg, t_end=0.3)]
+
+    serial = run()
+    results = [None, None]
+    start = threading.Barrier(2)
+
+    def worker(i):
+        start.wait()
+        results[i] = run()
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # hand the interpreter over often, so the steps interleave
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [serial, serial]
 
 
 def largest_pair_term(spec, comp, w, loss):
