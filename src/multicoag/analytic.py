@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalBreakdownError, SpecValidationError
-from .model import (ModelSpec, SizeDistribution, WindowMasses, _count, _root_type,
-                    _window_array, as_composition)
+from .model import (ModelSpec, SizeDistribution, WindowMasses, _count, _populated, _reachable,
+                    _root_type, _window_array, as_composition)
 from . import pgf
 
 BREAKDOWN_FLOOR = -1e-10         # det(I - B) below this on a reachable cell signals breakdown
@@ -48,30 +48,6 @@ def _one_row(spec: ModelSpec, n) -> np.ndarray:
     if sum(comp) < 1:
         raise SpecValidationError("need |n| >= 1")
     return np.array([comp], dtype=np.int64)
-
-
-def _reachable(spec: ModelSpec, comps: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    """Rows n that some tree from a type-roots[row] root produces: n_i >= 1 at the
-    root type i, no non-root node of a type with p_l = 0, and a tree with n_l
-    nodes of type l and only A > 0 edges.  Such a tree exists iff the kernel
-    graph induced on supp(n) is connected and, when n = N e_l, N = 1 or A_ll > 0.
-    """
-    rows = np.arange(len(comps))
-    at_root, empty = comps[rows, roots], spec.p == 0.0
-    supp = comps > 0
-    adj = (spec.A > 0.0).astype(float)
-    seen = np.zeros_like(supp)
-    seen[rows, roots] = True
-    while True:  # grow from the root type to its whole component in supp(n)
-        grown = supp & (seen | (seen @ adj > 0.0))
-        if np.array_equal(grown, seen):
-            break
-        seen = grown
-    # sum(x.T) adds the m columns, several times faster than x.sum(axis=1); seen lies
-    # in supp(n), so equal counts mean the root's component is all of supp(n)
-    shaped = (at_root < sum(comps.T)) | (np.diagonal(spec.A)[roots] > 0.0) | (at_root == 1)
-    return ((at_root > 0) & (comps @ empty == empty[roots])  # no non-root node of an empty type
-            & (sum(seen.T) == sum(supp.T)) & shaped)
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")  # log 0 = -inf; the rest is checked
@@ -111,19 +87,18 @@ def _log_progeny(spec: ModelSpec, t: float, comps: np.ndarray,
 def _solve_rows(spec: ModelSpec, t: float, comps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """log w_n(t) and the precision flag for each row n of comps.
 
-    The root is the first component with n_i > 0; a row is reachable iff p_i > 0
-    and _reachable holds (supp(n) in supp(p), n tree-shaped), the others are
-    exactly -inf and unflagged.  With assertions enabled the batch also holds
-    every other root, and each is required to give the same value.
+    The root is the first component with n_i > 0; the rows model._populated keeps
+    (supp(n) in supp(p), n tree-shaped) are evaluated, the others are exactly -inf
+    and unflagged.  With assertions enabled the batch also holds every other root,
+    and each is required to give the same value.
     """
     pgf.require_subcritical(spec, t)
-    supp = comps > 0
-    lead = supp.argmax(axis=1)
-    reach = np.flatnonzero((spec.p[lead] > 0.0) & _reachable(spec, comps, lead))
+    reach = np.flatnonzero(_populated(spec, comps))
+    supp = comps[reach] > 0
     if __debug__:
-        at, roots = np.nonzero(supp[reach])  # row-major: each row's first root comes first
+        at, roots = np.nonzero(supp)  # row-major: each row's first root comes first
     else:
-        at, roots = np.arange(len(reach)), lead[reach]
+        at, roots = np.arange(len(reach)), supp.argmax(axis=1)
     pairs = comps[reach[at]]
     log_p, flags = _log_progeny(spec, t, pairs, roots)
     log_pair = log_p + np.log(spec.p[roots] / pairs[np.arange(len(at)), roots])

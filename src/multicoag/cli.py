@@ -186,8 +186,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         write_distribution_csv(args.out, spec.m, snap.dist.entries.items())
         mv = snap.mass
         summary.update(mass_vector=mv.tolist(), deficit=snap.deficit, flux_out=snap.flux_out,
-                       clipped_cells=snap.clipped, mask_rebuilds=snap.mask_rebuilds,
-                       dt=args.dt, form=args.form)
+                       clipped_cells=snap.clipped, dt=args.dt, form=args.form)
     else:  # mc
         from . import branching_mc
 

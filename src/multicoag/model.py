@@ -314,6 +314,37 @@ def _window_array(m: int, n_max: int) -> np.ndarray:
     return out
 
 
+def _reachable(spec: ModelSpec, comps: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """Rows n that some tree from a type-roots[row] root produces: n_i >= 1 at the
+    root type i, no non-root node of a type with p_l = 0, and a tree with n_l
+    nodes of type l and only A > 0 edges.  Such a tree exists iff the kernel
+    graph induced on supp(n) is connected and, when n = N e_l, N = 1 or A_ll > 0.
+    """
+    rows = np.arange(len(comps))
+    at_root, empty = comps[rows, roots], spec.p == 0.0
+    supp = comps > 0
+    adj = (spec.A > 0.0).astype(float)
+    seen = np.zeros_like(supp)
+    seen[rows, roots] = True
+    while True:  # grow from the root type to its whole component in supp(n)
+        grown = supp & (seen | (seen @ adj > 0.0))
+        if np.array_equal(grown, seen):
+            break
+        seen = grown
+    # sum(x.T) adds the m columns, several times faster than x.sum(axis=1); seen lies
+    # in supp(n), so equal counts mean the root's component is all of supp(n)
+    shaped = (at_root < sum(comps.T)) | (np.diagonal(spec.A)[roots] > 0.0) | (at_root == 1)
+    return ((at_root > 0) & (comps @ empty == empty[roots])  # no non-root node of an empty type
+            & (sum(seen.T) == sum(supp.T)) & shaped)
+
+
+def _populated(spec: ModelSpec, comps: np.ndarray) -> np.ndarray:
+    """Rows n that carry mass at every t > 0, on the exact and the ODE route alike: the
+    first type i with n_i > 0 has p_i > 0 and _reachable holds from it."""
+    lead = (comps > 0).argmax(axis=1)
+    return (spec.p[lead] > 0.0) & _reachable(spec, comps, lead)
+
+
 class _ArrayValues(ValuesView):
     def __iter__(self) -> Iterator[float]:
         return iter(self._mapping.array.tolist())
@@ -370,24 +401,28 @@ class WindowMasses(Mapping):
         return _ArrayItems(self)
 
 
-def _entry(m: int, n, w) -> tuple[Composition, float]:
-    """One entry of a sparse distribution: a composition of m entries with |n| >= 1, and
-    a mass read by _real that is finite and >= 0; SpecValidationError for anything else."""
+def _add_entry(entries: dict[Composition, float], m: int, n, w) -> None:
+    """Add one entry of a sparse distribution: a composition of m entries with |n| >= 1,
+    not in entries yet, and a mass read by _real that is finite and >= 0;
+    SpecValidationError for anything else."""
     comp = as_composition(n, m)
     if sum(comp) < 1:
         raise SpecValidationError("distribution entries need |n| >= 1")
+    if comp in entries:  # two keys can read as one composition: (1, 2) and range(1, 3)
+        raise SpecValidationError(f"composition {comp} appears twice")
     mass = _real(f"mass of {comp}", w)
     if not 0.0 <= mass < math.inf:
         raise SpecValidationError(f"mass of {comp} must be finite and >= 0, got {w!r}")
-    return comp, mass
+    entries[comp] = mass
 
 
 @dataclass
 class SizeDistribution:
     """Sparse cluster-size distribution at a fixed time.
 
-    entries maps compositions (|n| >= 1) to nonnegative masses w_n: a dict,
-    or a WindowMasses when the distribution covers a whole window.
+    entries maps compositions (|n| >= 1), each once, to nonnegative masses w_n:
+    a dict, or a WindowMasses when the distribution covers a whole window.  t is
+    read by _time.
     """
 
     t: float
@@ -395,11 +430,15 @@ class SizeDistribution:
     entries: Mapping[Composition, float]
 
     def __post_init__(self) -> None:
+        self.t = _time("t", self.t)
         if isinstance(self.entries, WindowMasses):
             if self.entries.m != self.m:
                 raise SpecValidationError(f"window has m={self.entries.m}, expected {self.m}")
             return
-        self.entries = dict(_entry(self.m, n, w) for n, w in self.entries.items())
+        entries: dict[Composition, float] = {}
+        for n, w in self.entries.items():
+            _add_entry(entries, self.m, n, w)
+        self.entries = entries
 
     @classmethod
     def monodisperse(cls, spec: ModelSpec) -> "SizeDistribution":
@@ -414,7 +453,8 @@ class SizeDistribution:
     @classmethod
     def from_csv(cls, path: str, t: float = 0.0) -> "SizeDistribution":
         """The distribution in a CSV as write_distribution_csv writes it; SpecValidationError
-        naming the path and the line for a missing header or a malformed row."""
+        naming the path and the line for a missing header, a malformed row or a repeated
+        composition."""
         with open(path, newline="", encoding="utf-8") as f:
             reader = csv.reader(f)
             header = next(reader, [])
@@ -426,10 +466,9 @@ class SizeDistribution:
                 try:  # the cells are text: each count must read as an int, the mass as a float
                     if len(row) != m + 1:
                         raise SpecValidationError(f"need {m + 1} cells, got {len(row)}")
-                    n, w = _entry(m, [int(v) for v in row[:-1]], float(row[-1]))
+                    _add_entry(entries, m, [int(v) for v in row[:-1]], float(row[-1]))
                 except ValueError as e:  # SpecValidationError included
                     raise SpecValidationError(f"{path}, line {reader.line_num}: {e}") from None
-                entries[n] = w
         return cls(t=t, m=m, entries=entries)
 
 

@@ -21,10 +21,11 @@ N_max = 20 the grid is 350 x 40 points, against 21 x 21 x 40 with one axis
 per coordinate and the (2 N_max)^3 of a plain box.
 
 The FFT leaves rounding noise of about 1e-16 times the largest term in
-every cell, so cells where the pair sum is exactly zero are masked: the
-same convolution, of the support indicators against the positivity pattern
-of A, counts the nonzero terms of each cell (exactly, as nothing aliases),
-and along a trajectory is recomputed only when the support grows.  The loss
+every cell, so cells where the pair sum is exactly zero are masked, once
+per operator: the same convolution, of a support's indicators against the
+positivity pattern of A, counts the nonzero terms of each cell (exactly, as
+nothing aliases).  A trajectory's support is model._populated, the exact
+route's reachability rule, so every other cell stays exactly zero.  The loss
 term uses the frozen initial mass vector p (reduced form) or the
 instantaneous windowed mass vector (full form); both are exact
 matrix-vector products because the kernel is bilinear.  Each integrate or
@@ -41,17 +42,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import IntegrationError, NumericalBreakdownError, SpecValidationError
-from .model import (
-    FORMS,
-    MASS_FLOOR,
-    ModelSpec,
-    SizeDistribution,
-    WindowMasses,
-    _count,
-    _time,
-    _window_array,
-    scatter_window,
-)
+from .model import (FORMS, MASS_FLOOR, ModelSpec, SizeDistribution, WindowMasses, _count,
+                    _populated, _time, _window_array, scatter_window)
 
 NEGATIVE_MASS_TOL = -1e-10  # entries in [tol, 0) are clipped; below it is an error
 
@@ -92,7 +84,6 @@ class OdeSnapshot:
     flux_out: float        # accumulated mass that left through the window boundary
     deficit: float         # |m(0)| - |m(t)| of the truncated system
     clipped: int           # distinct cells clipped from FFT noise to 0 so far
-    mask_rebuilds: int     # gain_zeros recomputations along the trajectory so far
 
 
 def _fft_length(n: int) -> int:
@@ -165,7 +156,7 @@ class _Convolution:
     <= 2 n_max <= L lands on a size that is 0 or above n_max, and a pair with
     |k| + |l| = |n| has k' + l' and n' both in the simplex |n'| <= n_max, where
     the map is one-to-one, so it lands on n only if k + l = n.  The same holds
-    for the support count behind gain_zeros.  Buffers and the cell index are
+    for the support count behind the zero mask.  Buffers and the cell index are
     built here once, so a call only scatters, transforms in place and
     multiplies; a call with r ranks works on the first r slabs.  Not safe for
     concurrent calls: each trajectory owns its operator and calls it in turn.
@@ -203,17 +194,15 @@ class _Convolution:
 
 
 class _WindowOperator:
-    """Right-hand side along one trajectory over one window, for one spec and loss form.
+    """Right-hand side over one window, for one spec, loss form and support.
 
-    The zero mask of the gain is kept for the union of the supports seen so
-    far.  Exact values only grow a support along a trajectory; the FFT noise
-    can clip a cell whose exact value lies below it, and keeping that cell in
-    the union spares a new mask on every step.  Cells outside the union of
-    reachable compositions stay exactly zero.  `rebuilds` counts the masks
-    made so far, one gain_zeros call each time the union grows.
+    The gain's zero mask holds the cells where every pair-sum term K(k,l) w_k w_l
+    vanishes when w lies inside `support` (a boolean per window cell).  By default
+    that is model._populated, which holds every state of a trajectory from the
+    monodisperse state; derivative passes its state's own support.
     """
 
-    def __init__(self, spec: ModelSpec, n_max: int, form: str):
+    def __init__(self, spec: ModelSpec, n_max: int, form: str, support: np.ndarray | None = None):
         if form not in FORMS:
             raise SpecValidationError(f"form must be one of {FORMS}")
         self.spec, self.form = spec, form
@@ -225,26 +214,19 @@ class _WindowOperator:
             size = self.sizes[~np.isfinite(self.loss_reduced)].min()
             raise NumericalBreakdownError(f"the loss rate n . (A p) overflows from |n| = {size:.0f} on")
         self.gain_lam, self.gain_proj = _quadratic_form(spec.A, self.comp)
-        self.pattern_lam, self.pattern_proj = _quadratic_form(
+        self.pattern_lam, pattern_proj = _quadratic_form(
             (spec.A > 0.0).astype(float), (self.comp > 0.0).astype(float))
         # one set of buffers for the gain and the zero mask, sized for the larger rank
         self.convolution = _Convolution(spec.m, n_max,
                                         max(len(self.gain_lam), len(self.pattern_lam)))
-        self.seen = np.zeros(len(self.comp), dtype=bool)
-        self.zeros = np.ones(len(self.comp), dtype=bool)
-        self.rebuilds = 0
-
-    def gain_zeros(self, support: np.ndarray) -> np.ndarray:
-        """Cells where every pair-sum term K(k,l) w_k w_l vanishes when supp(w) = support."""
-        return self.convolution(self.pattern_lam, self.pattern_proj * support) < 0.5
+        if support is None:
+            support = _populated(spec, _window_array(spec.m, n_max))
+        # the count of nonzero pair-sum terms per cell, exact as nothing aliases
+        self.zeros = self.convolution(self.pattern_lam, pattern_proj * support) < 0.5
 
     def __call__(self, w: np.ndarray) -> tuple[np.ndarray, float]:
-        """Returns (dw/dt, outbound mass flux rate) at w, after growing the mask's support by w's."""
-        nonzero = w != 0.0
-        if (nonzero & ~self.seen).any():
-            self.seen[nonzero] = True
-            self.zeros = self.gain_zeros(self.seen)
-            self.rebuilds += 1
+        """Returns (dw/dt, outbound mass flux rate) at w, which must lie inside the
+        operator's support; nothing is kept between calls but the FFT buffers."""
         gain = 0.5 * self.convolution(self.gain_lam, self.gain_proj * w)
         gain[self.zeros] = 0.0
         mw = self.comp.T @ w
@@ -263,8 +245,8 @@ def derivative(spec: ModelSpec, dist: SizeDistribution, window: TruncationWindow
     SpecValidationError), and form one of FORMS.  Returns dw/dt at every
     window cell, zeros included.
     """
-    rhs = _WindowOperator(spec, window.n_max, form)
-    dw, _ = rhs(scatter_window(spec.m, window.n_max, dist.entries))
+    w = scatter_window(spec.m, window.n_max, dist.entries)
+    dw, _ = _WindowOperator(spec, window.n_max, form, w != 0.0)(w)
     return WindowMasses(spec.m, window.n_max, dw)
 
 
@@ -276,9 +258,9 @@ def integrate(spec: ModelSpec, window: TruncationWindow, config: OdeConfig,
     between consecutive record times is split into equal steps no longer
     than config.dt.  Returns one snapshot per record time (default: just
     t_end); each holds the whole window as a WindowMasses, with 0.0 where
-    the state is below MASS_FLOOR, counts the cells that went negative
-    from FFT noise and were clipped to 0 at least once, and counts the
-    rebuilds of the gain's zero mask.
+    the state is below MASS_FLOOR, and counts the cells that went negative
+    from FFT noise and were clipped to 0 at least once.  A non-finite state
+    raises IntegrationError, with no overflow warning.
     """
     t_end = _time("t_end", t_end, positive=True)
     records = ([_time("record_times", r) for r in config.record_times]
@@ -299,16 +281,17 @@ def integrate(spec: ModelSpec, window: TruncationWindow, config: OdeConfig,
         dist = SizeDistribution(t=at, m=spec.m, entries=masses)
         mw = rhs.comp.T @ w
         return OdeSnapshot(dist=dist, mass=mw, flux_out=flux_acc, deficit=mass0 - float(mw.sum()),
-                           clipped=int(clipped.sum()), mask_rebuilds=rhs.rebuilds)
+                           clipped=int(clipped.sum()))
 
     for target in records:
         span = target - t
         if span > 0.0:
             n_steps = max(1, math.ceil(span / config.dt - 1e-12))
             h = span / n_steps
-            for _ in range(n_steps):
-                w, flux_acc = _step(rhs, w, flux_acc, h)
-                _check_state(w, clipped)
+            with np.errstate(over="ignore", invalid="ignore"):
+                for _ in range(n_steps):
+                    w, flux_acc = _step(rhs, w, flux_acc, h)
+                    _check_state(w, clipped)
             t = target
         snapshots.append(snap(target))
     return snapshots

@@ -176,7 +176,7 @@ def tree_compositions(spec: ModelSpec, n_max: int) -> list[set]:
 
     Brute force: a tree is its root plus a forest of trees whose roots are
     children j with A_ij p_j > 0, iterated to a fixed point.  Independent of
-    the reachability rule in multicoag.analytic, which it checks.
+    the reachability rule in multicoag.model, which it checks.
     """
     m = spec.m
     trees: list[set] = [set() for _ in range(m)]

@@ -399,6 +399,29 @@ def test_distribution_masses_are_finite_nonnegative_reals(mass):
         assert SizeDistribution(t=0.0, m=2, entries={(1, 0): good}).entries == {(1, 0): float(good)}
 
 
+def test_distribution_csv_rejects_a_repeated_composition(tmp_path):
+    # the second row once replaced the first without a word
+    path = tmp_path / "dist.csv"
+    path.write_text("n_1,n_2,w\n1,0,0.5\n0,1,0.25\n1,0,0.25\n")
+    with pytest.raises(SpecValidationError, match=rf"^{path}, line 4: composition \(1, 0\) appears twice"):
+        SizeDistribution.from_csv(path)
+
+
+def test_distribution_rejects_keys_that_read_as_one_composition():
+    # two dict keys, one composition: the last entry once won.  ((1, 0) and (1.0, 0) are
+    # already one key to the dict itself.)
+    with pytest.raises(SpecValidationError, match=r"^composition \(1, 2\) appears twice"):
+        SizeDistribution(t=0.0, m=2, entries={(1, 2): 0.5, range(1, 3): 0.25})
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -0.5, "0.5", None, True], ids=repr)
+def test_distribution_time_is_read_by_the_time_check(t):
+    # t=nan once constructed
+    with pytest.raises(SpecValidationError, match=r"^t must be"):
+        SizeDistribution(t=t, m=2, entries={(1, 0): 0.5})
+    assert SizeDistribution(t=np.float64(0.25), m=2, entries={}).t == 0.25
+
+
 # every public entry point that takes a real vector, by the name its error gives
 REAL_VECTOR_ENTRY_POINTS = {
     "ModelSpec": ("p", lambda spec, v: ModelSpec(m=2, A=spec.A, p=v)),

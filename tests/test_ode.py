@@ -287,7 +287,7 @@ def test_concurrent_trajectories_match_the_serial_run(m3_spec):
 
     def run():
         return [(s.dist.entries.array.tobytes(), s.mass.tobytes(), s.flux_out, s.deficit,
-                 s.clipped, s.mask_rebuilds) for s in integrate(m3_spec, window, cfg, t_end=0.3)]
+                 s.clipped) for s in integrate(m3_spec, window, cfg, t_end=0.3)]
 
     serial = run()
     results = [None, None]
@@ -504,26 +504,3 @@ def test_snapshots_count_the_clipped_cells(m1_spec, monkeypatch):
                       t_end=0.3)
     assert [snap.clipped for snap in snaps] == [1, 2]
     assert snaps[0].dist.entries[(2,)] == 0.0
-
-
-def test_snapshots_count_the_mask_rebuilds(bip_spec, monkeypatch):
-    # every gain_zeros call along the trajectory rebuilds the mask for a grown support
-    supports = []
-    gain_zeros = ode._WindowOperator.gain_zeros
-
-    def counted(self, support):
-        supports.append(support.copy())
-        return gain_zeros(self, support)
-
-    monkeypatch.setattr(ode._WindowOperator, "gain_zeros", counted)
-    window, t_c = TruncationWindow(30), gelation_time(bip_spec).T_c
-    counts = []
-    for t_end in (0.1 * t_c, 0.5 * t_c):
-        supports.clear()
-        cfg = OdeConfig(dt=1e-2, record_times=(0.0, 0.1 * t_c, t_end))
-        snaps = integrate(bip_spec, window, cfg, t_end=t_end)
-        counts.append([snap.mask_rebuilds for snap in snaps])
-        assert counts[-1][-1] == len(supports)
-        assert all(np.all(a <= b) and np.any(a < b) for a, b in zip(supports, supports[1:]))
-    assert counts[0][0] == 0  # nothing is built before the first step
-    assert counts[1][1] == counts[0][-1] > 1

@@ -1,4 +1,5 @@
-"""Property test: the exact solver's zeros are exactly the unreachable compositions."""
+"""Property tests: the exact solver's zeros are exactly the unreachable compositions, and
+the ODE keeps every unreachable composition at exactly zero."""
 
 from __future__ import annotations
 
@@ -12,8 +13,11 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from multicoag import (  # noqa: E402
     ModelSpec,
+    OdeConfig,
     SpecValidationError,
+    TruncationWindow,
     gelation_time,
+    integrate,
     solve_detail,
     solve_window,
 )
@@ -54,3 +58,18 @@ def test_zeros_are_exactly_the_unreachable_compositions(spec, frac):
         else:
             assert w == 0.0 and detail.value == 0.0, n
             assert detail.log_value == -math.inf and not detail.precision_limited, n
+
+
+@settings(max_examples=30, deadline=None)
+@given(spec=sparse_specs(), frac=st.floats(0.1, 0.5))
+def test_ode_leaves_the_unreachable_compositions_exactly_zero(spec, frac):
+    # the gain's zero mask comes from the reachability rule, so no FFT noise lands there
+    n_max = 5 if spec.m <= 3 else 4
+    t = frac * gelation_time(spec).T_c
+    trees = set().union(*(trees for i, trees in enumerate(tree_compositions(spec, n_max))
+                          if spec.p[i] > 0.0))
+    for form in ("reduced", "full"):
+        cfg = OdeConfig(dt=t / 10, form=form, record_times=(0.5 * t, t))
+        for snap in integrate(spec, TruncationWindow(n_max), cfg, t_end=t):
+            outside = [w for n, w in snap.dist.entries.items() if n not in trees]
+            assert outside == [0.0] * len(outside), form
