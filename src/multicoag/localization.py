@@ -158,7 +158,7 @@ class RateSequence:
 
 
 def empirical_rate(spec: ModelSpec, t: float, rho, n_list) -> RateSequence:
-    """Evaluate the decay rate of w along n = N rho for each N in n_list.
+    """Evaluate the decay rate of w along n = N rho for each N in n_list, each N once.
 
     Every N * rho must be integral (within 1e-9) so the composition is
     exact.  The known O(log N / N) finite-size correction is removed by the
@@ -169,8 +169,8 @@ def empirical_rate(spec: ModelSpec, t: float, rho, n_list) -> RateSequence:
     pgf.require_subcritical(spec, t)
     r = as_simplex_point(rho, spec.m)
     n_list = [_count("n_list entry", n) for n in n_list]
-    if not n_list:
-        raise SpecValidationError("n_list must not be empty")
+    if not n_list or len(set(n_list)) < len(n_list):  # a repeated N adds no equation to the fit
+        raise SpecValidationError(f"n_list must be nonempty with no N twice, got {n_list}")
 
     points: list[tuple[int, float]] = []
     flags: list[bool] = []
@@ -185,9 +185,7 @@ def empirical_rate(spec: ModelSpec, t: float, rho, n_list) -> RateSequence:
         points.append((n_tot, -detail.log_value / n_tot))
         flags.append(detail.precision_limited)
 
-    running: list[float | None] = []
-    for k in range(len(points)):
-        running.append(_rate_fit(points[: k + 1]))
+    running = [_rate_fit(points[: k + 1]) for k in range(len(points))]
     return RateSequence(points=points, extrapolated=running[-1], running=running,
                         precision_limited=flags)
 

@@ -14,6 +14,7 @@ import math
 import numbers
 import warnings
 from collections.abc import ItemsView, ValuesView
+from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping
@@ -116,24 +117,8 @@ def _time(name: str, value, positive: bool = False) -> float:
 
 
 def compositions_up_to(m: int, n_max: int) -> tuple[Composition, ...]:
-    """All compositions with 1 <= |n| <= n_max, in graded lexicographic order."""
-    m = _whole_number("m", m)  # checked before the cache, where True would find 1
-    if m < 1:
-        raise SpecValidationError("need m >= 1")
-    return _compositions(m, _count("n_max", n_max))
-
-
-@lru_cache(maxsize=32)
-def _compositions(m: int, n_max: int) -> tuple[Composition, ...]:
-    def parts(total: int, k: int) -> Iterator[Composition]:
-        if k == 1:
-            yield (total,)
-            return
-        for first in range(total, -1, -1):
-            for rest in parts(total - first, k - 1):
-                yield (first, *rest)
-
-    return tuple(c for total in range(1, n_max + 1) for c in parts(total, m))
+    """All compositions with 1 <= |n| <= n_max in graded-lex order: new tuples of the window's table."""
+    return tuple(zip(*_window_array(_count("m", m), _count("n_max", n_max)).T.tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -302,16 +287,32 @@ def kernel(spec: ModelSpec, k: Iterable[int], l: Iterable[int]) -> float:
 
 
 @lru_cache(maxsize=32)
-def _window_index(m: int, n_max: int) -> dict[Composition, int]:
-    return {c: row for row, c in enumerate(compositions_up_to(m, n_max))}
-
-
-@lru_cache(maxsize=32)
 def _window_array(m: int, n_max: int) -> np.ndarray:
-    """compositions_up_to(m, n_max) as a read-only (cells, m) int array."""
-    out = np.array(compositions_up_to(m, n_max), dtype=np.int64)
+    """The window's one table: its compositions in a read-only (cells, m) int array, by _rank."""
+    comps = np.arange(n_max + 1, dtype=np.int64)[:, None]
+    for _ in range(m - 1):  # append every next part that keeps |n| <= n_max
+        room = n_max + 1 - comps.sum(axis=1)
+        first = np.repeat(np.cumsum(room) - room, room)
+        comps = np.column_stack([np.repeat(comps, room, axis=0), np.arange(len(first)) - first])
+    rows = _rank(comps[1:].T)  # row 0 is the zero composition
+    out = np.empty_like(comps[1:])
+    out[rows] = comps[1:]
     out.flags.writeable = False
     return out
+
+
+def _rank(columns):
+    """The window row of a composition with |n| >= 1 (a tuple), or of each (an int array's
+    columns): with s_k the sum of the last k entries, sum_k C(s_k + k - 1, k) - 1 rows come
+    first in graded-lex order, and every product below stays under m times the window size."""
+    rank, s = -1, 0
+    for k, v in enumerate(reversed(columns), 1):
+        s, c = s + v, 1
+        for i in range(1, k + 1):  # c = C(s + i - 1, i), exactly and in place
+            c *= s + i - 1
+            c //= i
+        rank += c
+    return rank
 
 
 def _reachable(spec: ModelSpec, comps: np.ndarray, roots: np.ndarray) -> np.ndarray:
@@ -352,46 +353,58 @@ class _ArrayValues(ValuesView):
 
 class _ArrayItems(ItemsView):
     def __iter__(self) -> Iterator[tuple[Composition, float]]:
-        return zip(self._mapping._keys, self._mapping.array.tolist())
+        return zip(self._mapping, self._mapping.array.tolist())
+
+
+def _keys(entries: Mapping[Composition, float], m: int) -> np.ndarray:
+    """The keys of a distribution's entries as a (len, m) int array, in entry order."""
+    if isinstance(entries, WindowMasses) and entries.m == m:
+        return _window_array(entries.m, entries.n_max)
+    return np.array(list(entries), dtype=np.int64).reshape(len(entries), m)
 
 
 def scatter_window(m: int, n_max: int, entries: Mapping[Composition, float]) -> np.ndarray:
     """A sparse mapping's values in window order, 0.0 elsewhere; a key outside raises."""
-    index = _window_index(m, n_max)
-    out = np.zeros(len(index))
-    for n, w in entries.items():
-        row = index.get(n)
-        if row is None:
-            raise SpecValidationError(f"composition {n} outside window n_max={n_max}")
-        out[row] = w
+    try:
+        comps = _keys(entries, m)
+    except (ValueError, OverflowError):  # a key of another length, or an entry past int64
+        raise SpecValidationError(f"compositions must have {m} entries, each below 2**63") from None
+    size = comps.sum(axis=1)
+    bad = np.flatnonzero((size < 1) | (size > n_max) | (comps < 0).any(axis=1))
+    if len(bad):
+        raise SpecValidationError(f"composition {(*comps[bad[0]].tolist(),)} outside window n_max={n_max}")
+    out = np.zeros(math.comb(n_max + m, m) - 1)
+    out[_rank(comps.T)] = np.fromiter(entries.values(), dtype=float, count=len(entries))
     return out
 
 
 class WindowMasses(Mapping):
     """Read-only values of every composition with 1 <= |n| <= n_max.
 
-    The one container of a whole-window result (exact, ODE snapshot, ODE rate):
-    `array` holds the values in compositions_up_to order, and the keys and their
-    index are shared per window shape, so a window costs 8 bytes per cell.
+    The one container of a whole-window result (exact, ODE snapshot, ODE rate): `array`
+    holds the values in compositions_up_to order and no key is stored.  A lookup ranks its
+    key as read by as_composition (a key it refuses, with a boolean entry say, is absent).
     """
 
     def __init__(self, m: int, n_max: int, values: np.ndarray):
-        self.m, self.n_max = m, n_max
-        self._keys = compositions_up_to(m, n_max)
-        self._index = _window_index(m, n_max)
-        if values.shape != (len(self._keys),):
-            raise SpecValidationError(f"need {len(self._keys)} window values, got shape {values.shape}")
+        self.m, self.n_max = m, n_max = _count("m", m), _count("n_max", n_max)
+        if values.shape != (cells := math.comb(n_max + m, m) - 1,):
+            raise SpecValidationError(f"need {cells} window values, got shape {values.shape}")
         values.flags.writeable = False  # the window takes the array over
         self.array = values
 
     def __getitem__(self, n: Composition) -> float:
-        return float(self.array[self._index[n]])
+        with suppress(SpecValidationError):
+            comp = as_composition(n, self.m)
+            if 1 <= sum(comp) <= self.n_max:
+                return float(self.array[_rank(comp)])
+        raise KeyError(n)
 
     def __iter__(self) -> Iterator[Composition]:
-        return iter(self._keys)
+        return zip(*_window_array(self.m, self.n_max).T.tolist())  # no list per row for the GC to scan
 
     def __len__(self) -> int:
-        return len(self._keys)
+        return len(self.array)
 
     # views that read the array in one pass instead of one lookup per key
     def values(self) -> ValuesView:
@@ -435,10 +448,9 @@ class SizeDistribution:
             if self.entries.m != self.m:
                 raise SpecValidationError(f"window has m={self.entries.m}, expected {self.m}")
             return
-        entries: dict[Composition, float] = {}
-        for n, w in self.entries.items():
-            _add_entry(entries, self.m, n, w)
-        self.entries = entries
+        entries, self.entries = self.entries, {}
+        for n, w in entries.items():
+            _add_entry(self.entries, self.m, n, w)
 
     @classmethod
     def monodisperse(cls, spec: ModelSpec) -> "SizeDistribution":
@@ -461,15 +473,15 @@ class SizeDistribution:
             m = len(header) - 1
             if m < 1 or header != [*(f"n_{i+1}" for i in range(m)), "w"]:
                 raise SpecValidationError(f"{path}, line 1: need the header n_1,...,n_m,w, got {header!r}")
-            entries = {}
+            dist = cls(t=t, m=m, entries={})  # each row is checked once, as it is added
             for row in reader:
                 try:  # the cells are text: each count must read as an int, the mass as a float
                     if len(row) != m + 1:
                         raise SpecValidationError(f"need {m + 1} cells, got {len(row)}")
-                    _add_entry(entries, m, [int(v) for v in row[:-1]], float(row[-1]))
+                    _add_entry(dist.entries, m, [int(v) for v in row[:-1]], float(row[-1]))
                 except ValueError as e:  # SpecValidationError included
                     raise SpecValidationError(f"{path}, line {reader.line_num}: {e}") from None
-        return cls(t=t, m=m, entries=entries)
+        return dist
 
 
 def write_distribution_csv(path: str, m: int, rows: Iterable[tuple[Composition, float]],
@@ -488,6 +500,6 @@ def mass_vector(dist: SizeDistribution) -> np.ndarray:
     entries = dist.entries
     if not entries:
         return np.zeros(dist.m)
-    comps = np.array(list(entries), dtype=np.int64).reshape(len(entries), dist.m)
+    comps = _keys(entries, dist.m)
     w = np.fromiter(entries.values(), dtype=float, count=len(entries))
     return np.cumsum(comps * w[:, None], axis=0)[-1]  # cumsum adds sequentially, unlike sum

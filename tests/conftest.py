@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -132,6 +133,32 @@ def mc_million(m1_spec):
     cfg = McConfig(replicates=1_000_000, population_cap=100_000, seed=0)
     return _timed("mc_million",
                   lambda: estimate_pmf(m1_spec, 0.5, None, cfg, n_max=200))
+
+
+def graded_lex_compositions(m: int, n_max: int) -> tuple[tuple[int, ...], ...]:
+    """Every composition with 1 <= |n| <= n_max in graded lexicographic order, by the
+    recursive generator that the window's one table replaced: the table's order oracle."""
+    def parts(total: int, k: int):
+        if k == 1:
+            yield (total,)
+            return
+        for first in range(total, -1, -1):
+            for rest in parts(total - first, k - 1):
+                yield (first, *rest)
+
+    return tuple(c for total in range(1, n_max + 1) for c in parts(total, m))
+
+
+def traced_peak(run) -> float:
+    """Traced peak of run() above what was allocated before it, in MiB."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        run()
+        return (tracemalloc.get_traced_memory()[1] - before) / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def random_interior_simplex(rng: np.random.Generator, m: int,

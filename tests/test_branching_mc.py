@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +20,8 @@ from multicoag import (
 )
 from multicoag import branching_mc
 from multicoag.branching_mc import BLOCK_SIZE
+
+from conftest import traced_peak
 
 
 def test_seed_determinism(bip_spec):
@@ -377,28 +378,10 @@ def test_estimate_pmf_never_holds_the_count_matrix(m3_spec):
     cfg = McConfig(replicates=16 * branching_mc.GROUP_BLOCKS * BLOCK_SIZE, seed=5)
     t = 0.5 * gelation_time(m3_spec).T_c
     estimate_pmf(m3_spec, t, None, McConfig(replicates=1), n_max=30)  # first-call imports
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        est = estimate_pmf(m3_spec, t, None, cfg, n_max=30, threads=1)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-    assert est.n_uncensored > 0.99 * cfg.replicates
-    assert peak < cfg.replicates * m3_spec.m * 8, f"traced peak {peak / 2**20:.2f} MiB"
-
-
-def traced_peak(run) -> float:
-    """Traced peak of run() above what was allocated before it, in MiB."""
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        run()
-        return (tracemalloc.get_traced_memory()[1] - before) / 2**20
-    finally:
-        tracemalloc.stop()
+    runs = []
+    peak = traced_peak(lambda: runs.append(estimate_pmf(m3_spec, t, None, cfg, n_max=30, threads=1)))
+    assert runs[0].n_uncensored > 0.99 * cfg.replicates
+    assert peak < cfg.replicates * m3_spec.m * 8 / 2**20, f"traced peak {peak:.2f} MiB"
 
 
 def test_estimate_pmf_traced_peak(m3_spec):

@@ -298,6 +298,7 @@ BIP_MODEL = '{"m": 2, "A": [[0.0, 1.0], [1.0, 0.0]], "p": [0.5, 0.5]}'
     (M1_MODEL, ["localize", "--t", "0.5", "--rate-check", "a,b"], False),
     (M1_MODEL, ["localize", "--t", "0.5", "--rate-check", "1.0", "--n-list", "x"], False),
     (M1_MODEL, ["localize", "--t", "0.5", "--rate-check", "1.0", "--n-list", "2.5"], False),
+    (M1_MODEL, ["localize", "--t", "0.5", "--rate-check", "1.0", "--n-list", "100,100,100"], False),
     (M1_MODEL, ["localize", "--t", "0.5", "--rate-out", "OUT"], False),
     (M1_MODEL, ["solve", "--t", "0.5", "--nmax", "0", "--out", "OUT"], False),
     (M1_MODEL, ["solve", "--t", "nan", "--nmax", "5", "--method", "ode", "--out", "OUT"], False),
@@ -335,7 +336,7 @@ BIP_MODEL = '{"m": 2, "A": [[0.0, 1.0], [1.0, 0.0]], "p": [0.5, 0.5]}'
      False),
 ], ids=["non_object_json", "malformed_json", "m_not_an_integer", "m_fractional", "m_boolean",
         "A_as_text", "p_as_text", "A_boolean", "p_boolean", "nested_too_deep",
-        "rate_check_not_numbers", "n_list_not_numbers", "n_list_fractional",
+        "rate_check_not_numbers", "n_list_not_numbers", "n_list_fractional", "n_list_repeated",
         "rate_out_without_rate_check", "nmax_0",
         "t_nan", "dt_inf", "ode_t_0", "analytic_t_negative", "mc_t_negative", "compare_t_0",
         "localize_t_0", "localize_t_negative", "mc_seed_negative", "compare_seed_negative",

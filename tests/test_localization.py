@@ -256,6 +256,14 @@ def test_empirical_rate_takes_only_whole_sizes(bip_spec, n):
         empirical_rate(bip_spec, 0.3, [0.5, 0.5], [n, 4])
 
 
+@pytest.mark.parametrize("n_list", [[100, 100, 100], [50, 50, 100]], ids=str)
+def test_empirical_rate_refuses_a_repeated_size(bip_spec, n_list):
+    # [100, 100, 100] once fit a rank-one system to a min-norm "extrapolated" rate, and
+    # [50, 50, 100] fit three unknowns to two points
+    with pytest.raises(SpecValidationError, match=r"^n_list must be nonempty with no N twice"):
+        empirical_rate(bip_spec, 0.3, [0.5, 0.5], n_list)
+
+
 def test_rate_running_fit_needs_three_points(m1_spec):
     seq = empirical_rate(m1_spec, 0.5, [1.0], [50, 100, 200])
     assert seq.running[0] is None and seq.running[1] is None

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import time
 import warnings
 
 import numpy as np
@@ -37,7 +38,10 @@ from multicoag import (
     validate,
     write_distribution_csv,
 )
-from multicoag.model import WindowMasses
+from multicoag import model
+from multicoag.model import WindowMasses, scatter_window
+
+from conftest import graded_lex_compositions, traced_peak
 
 
 def test_validate_minimal_instances(m1_spec, bip_spec):
@@ -399,6 +403,65 @@ def test_distribution_masses_are_finite_nonnegative_reals(mass):
         assert SizeDistribution(t=0.0, m=2, entries={(1, 0): good}).entries == {(1, 0): float(good)}
 
 
+def test_distribution_csv_checks_each_row_once(tmp_path, monkeypatch):
+    # each row was once checked as it was read and again when the distribution was built
+    path = tmp_path / "dist.csv"
+    path.write_text("n_1,n_2,w\n1,0,0.5\n0,1,0.25\n2,1,0.125\n")
+    read, calls = model.as_composition, []
+    monkeypatch.setattr(model, "as_composition", lambda n, m=None: calls.append(n) or read(n, m))
+    dist = SizeDistribution.from_csv(path, t=0.25)
+    assert len(calls) == 3 and dist.t == 0.25
+    assert dist.entries == {(1, 0): 0.5, (0, 1): 0.25, (2, 1): 0.125}
+
+
+# the kinds of CSV_FAULTS that a data row can carry: (good row, the first row) -> bad row
+CSV_ROW_FAULTS = {
+    "fractional count": lambda row, first: [f"{row[0]}.5", *row[1:]],
+    "text count": lambda row, first: ["x", *row[1:]],
+    "boolean count": lambda row, first: ["True", *row[1:]],
+    "text mass": lambda row, first: [*row[:-1], "abc"],
+    "nan mass": lambda row, first: [*row[:-1], "nan"],
+    "inf mass": lambda row, first: [*row[:-1], "inf"],
+    "negative mass": lambda row, first: [*row[:-1], "-0.25"],
+    "short row": lambda row, first: row[:-1],
+    "long row": lambda row, first: [*row, "0.5"],
+    "repeated composition": lambda row, first: [*first[:-1], row[-1]],
+    "empty composition": lambda row, first: ["0"] * (len(row) - 1) + [row[-1]],
+}
+
+
+def test_distribution_csv_malformed_rows_name_the_path_and_the_line(tmp_path):
+    # a property form of CSV_FAULTS: one malformed row among good ones raises
+    # SpecValidationError naming the file and the row's line, and nothing else escapes
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    @st.composite
+    def one_bad_row(draw):
+        m = draw(st.integers(1, 3))
+        comps = draw(st.lists(st.tuples(*[st.integers(0, 4)] * m).filter(any),
+                              min_size=2, max_size=8, unique=True))
+        rows = [[*map(str, c), repr(draw(st.floats(0.0, 1.0)))] for c in comps]
+        fault = draw(st.sampled_from(sorted(CSV_ROW_FAULTS)))
+        bad = draw(st.integers(int(fault == "repeated composition"), len(rows) - 1))
+        rows[bad] = CSV_ROW_FAULTS[fault](rows[bad], rows[0])
+        return [[f"n_{i + 1}" for i in range(m)] + ["w"], *rows], bad + 2
+
+    path = tmp_path / "dist.csv"
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(one_bad_row())
+    def malformed_row_raises(case):
+        lines, line = case
+        path.write_text("".join(",".join(cells) + "\n" for cells in lines))
+        with pytest.raises(SpecValidationError, match=f"^{path}, line {line}: "):
+            SizeDistribution.from_csv(path)
+
+    start = time.perf_counter()
+    malformed_row_raises()
+    assert time.perf_counter() - start < 3.0
+
+
 def test_distribution_csv_rejects_a_repeated_composition(tmp_path):
     # the second row once replaced the first without a word
     path = tmp_path / "dist.csv"
@@ -497,6 +560,68 @@ def test_window_masses_is_a_read_only_mapping():
     assert list(window.values()) == [window[c] for c in comps]
     assert list(window.items()) == [(c, window[c]) for c in comps]
     assert ((1, 1), as_dict[(1, 1)]) in window.items() and 6.0 in window.values()
+
+
+# every m <= 5 at a few sizes, the benchmark's windows, and m = 30, N = 4, where a
+# base-(N + 1) positional key (5^29 > 2^63) would overflow int64
+TABLE_WINDOWS = [(m, n) for m in range(1, 6) for n in (1, 2, 7, 12)] + [(2, 40), (3, 20), (4, 10), (30, 4)]
+
+
+@pytest.mark.parametrize("m, n_max", TABLE_WINDOWS, ids=[f"m{m}-N{n}" for m, n in TABLE_WINDOWS])
+def test_window_table_is_in_graded_lex_order(m, n_max):
+    want = graded_lex_compositions(m, n_max)
+    table = model._window_array(m, n_max)
+    assert table.dtype == np.int64 and not table.flags.writeable
+    assert table.tolist() == [list(c) for c in want]
+    assert compositions_up_to(m, n_max) == want
+
+
+@pytest.mark.parametrize("m, n_max", TABLE_WINDOWS, ids=[f"m{m}-N{n}" for m, n in TABLE_WINDOWS])
+def test_every_window_row_finds_itself(m, n_max):
+    comps = compositions_up_to(m, n_max)
+    values = np.arange(1.0, len(comps) + 1.0)
+    window = WindowMasses(m, n_max, values.copy())
+    # at m = 30 a lookup reads and ranks 30 entries, so a spread of rows stands for all
+    picks = list(range(len(comps))) if m < 30 else [*range(0, len(comps), 97), len(comps) - 1]
+    assert [window[comps[i]] for i in picks] == values[picks].tolist()
+    assert all(comps[i] in window for i in picks)
+    assert np.array_equal(scatter_window(m, n_max, window), values)
+    sparse = scatter_window(m, n_max, {comps[i]: values[i] for i in picks})
+    assert np.array_equal(np.flatnonzero(sparse), picks) and np.array_equal(sparse[picks], values[picks])
+
+
+@pytest.mark.parametrize("key", [(4, 0), (2, 2), (0, 0), (1,), (1, 0, 0), (-1, 2), (2, -1),
+                                 ("1", 0), "10", (True, 0), (1, False), (np.True_, 0),
+                                 (1.5, 0), (math.nan, 1), None, 1, ()], ids=repr)
+def test_a_key_that_is_no_composition_of_the_window_is_absent(key):
+    # (True, 0) was once found as (1, 0), through the hashing of the dict index
+    window = WindowMasses(2, 3, np.arange(1.0, 10.0))
+    with pytest.raises(KeyError):
+        window[key]
+    assert window.get(key) is None and window.get(key, -1.0) == -1.0 and key not in window
+
+
+def test_a_window_reads_a_key_as_as_composition_does():
+    window = WindowMasses(2, 3, np.arange(1.0, 10.0))
+    for key in ((1.0, 0), (np.int64(1), 0), [1, 0], np.array([1, 0])):
+        assert window[key] == window[(1, 0)] == 1.0 and key in window
+    assert window[(0, 3)] == 9.0 and window.get((2, 1)) == 7.0
+
+
+def test_a_window_holds_no_key_per_cell():
+    # a tuple per cell and a dict index, as windows once held, read 11.4 MiB; a window that
+    # stores no key reads 1.2 MiB, its values and the scattered state, and builds no table
+    cells = math.comb(402, 2) - 1
+    WindowMasses(2, 1, np.zeros(2))[(1, 0)]  # first-use imports
+
+    def run():
+        model._window_array.cache_clear()
+        window = WindowMasses(2, 400, np.zeros(cells))
+        assert scatter_window(2, 400, {(1, 0): 0.5, (0, 1): 0.5}).sum() == 1.0  # integrate's start
+        assert window[(200, 200)] == 0.0
+
+    peak = traced_peak(run)
+    assert peak < 6.0, f"traced peak {peak:.2f} MiB"
 
 
 def test_mass_vector_sums_in_entry_order(m3_spec):

@@ -397,6 +397,14 @@ def test_derivative_rejects_support_outside_window(m1_spec):
         derivative(m1_spec, dist, TruncationWindow(5))
 
 
+@pytest.mark.parametrize("m, key", [(1, (1,)), (2, (2**70, 0))], ids=["other_length", "past_int64"])
+def test_derivative_rejects_keys_that_read_as_no_window_row(bip_spec, m, key):
+    # the keys are read into one int array, which takes neither
+    dist = SizeDistribution(t=0.0, m=m, entries={key: 0.1})
+    with pytest.raises(SpecValidationError, match="compositions must have 2 entries"):
+        derivative(bip_spec, dist, TruncationWindow(5))
+
+
 def test_symmetrization_invariance_of_derivative():
     rng = np.random.default_rng(11)
     raw = np.array([[0.5, 2.0, 0.0], [0.4, 1.0, 3.0], [1.2, 0.1, 0.7]])
