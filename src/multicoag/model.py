@@ -486,13 +486,17 @@ class SizeDistribution:
 
 def write_distribution_csv(path: str, m: int, rows: Iterable[tuple[Composition, float]],
                            value_headers: tuple[str, ...] = ("w",)) -> None:
-    """CSV with header n_1,...,n_m,<values>; floats at 17 significant digits."""
+    """Header n_1,...,n_m,<values>, then rows of counts by str and values (a float, or a tuple of
+    one per header) at 17 digits, each ending in \\r\\n; SpecValidationError names a misfit row's line."""
+    k = len(value_headers)
+    row = ",".join(["%s"] * m + ["%.17g"] * k) + "\r\n"
     with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow([f"n_{i+1}" for i in range(m)] + list(value_headers))
-        for n, w in rows:
-            vals = w if isinstance(w, tuple) else (w,)
-            writer.writerow([*n, *(f"{v:.17g}" for v in vals)])
+        f.write(",".join([f"n_{i+1}" for i in range(m)] + list(value_headers)) + "\r\n")
+        for i, (n, w) in enumerate(rows, 2):
+            cells = (*n, *w) if isinstance(w, tuple) else (*n, w)
+            if len(n) != m or len(cells) != m + k:
+                raise SpecValidationError(f"{path}, line {i}: need {m}+{k} cells, got {n!r}, {w!r}")
+            f.write(row % cells)
 
 
 def mass_vector(dist: SizeDistribution) -> np.ndarray:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import math
 import os
@@ -23,6 +24,7 @@ def spec_files(tmp_path):
     paths = {}
     for name, payload in {
         "m1": {"m": 1, "A": [[1.0]], "p": [1.0]},
+        "demo": {"m": 2, "A": [[1.0, 2.0], [2.0, 1.0]], "p": [0.7, 0.3]},  # README's demo.json
         "bip": {"m": 2, "A": [[0.0, 1.0], [1.0, 0.0]], "p": [0.5, 0.5]},
         "stoch": {"m": 2, "A": [[0.0, 2.0], [2.0, 0.0]], "p": [0.5, 0.5]},
         "ident": {"m": 2, "A": [[1.0, 0.0], [0.0, 1.0]], "p": [0.5, 0.5]},
@@ -48,6 +50,9 @@ def test_gelation_reducible_warns(spec_files, capsys):
     assert main(["gelation", spec_files["ident"]]) == 0
     captured = capsys.readouterr()
     assert "critical" in captured.err
+    # one line names the blocks; a second, blockless warning once repeated it
+    assert captured.err.splitlines() == [
+        "note: support graph of A splits into blocks [[0], [1]]; each block gels at its own critical time"]
     out = json.loads(captured.out)
     assert len(out["blocks"]) == 2
     assert not out["irreducible"]
@@ -96,6 +101,30 @@ def test_solve_deterministic_outputs_byte_stable(spec_files, tmp_path):
         assert main(["solve", spec_files["bip"], "--t", "0.7", "--nmax", "8",
                      "--out", str(out)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+# sha256 of each kind of CSV that solve writes, as the csv module wrote it: demo at 0.5 T_c
+# (N=40, and N=12 by RK4 at dt = 1e-3), demo's initial state, and bip by Monte Carlo
+SOLVE_CSV_DIGESTS = {
+    "analytic": (["demo", "--t", "0.3476850412418142", "--nmax", "40"],
+                 "46519c5c7a8ecfb35be4db2ab2651533876a5b72d757ba0e931f91f65f9a3d0b"),
+    "analytic at t = 0": (["demo", "--t", "0", "--nmax", "40"],
+                          "ef48785586c915cf859bf19b5d4e84a70d95f60ce7f247bae9d406b5a990652e"),
+    "ode": (["demo", "--t", "0.3476850412418142", "--nmax", "12", "--method", "ode"],
+            "d7f7b511791dc1660c008f8e4c47246660589ebc09ba1b8615a073d85c42d30d"),
+    "mc": (["bip", "--t", "1.0", "--nmax", "8", "--method", "mc", "--replicates", "20000",
+            "--seed", "7"], "eaf2c60e520e1f5a7dc3e3d29c8f3f8371580b3d661a211b1a53ee6ec2436f64"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SOLVE_CSV_DIGESTS))
+def test_solve_csv_bytes_are_pinned(spec_files, tmp_path, kind):
+    (name, *argv), digest = SOLVE_CSV_DIGESTS[kind]
+    out = tmp_path / "w.csv"
+    assert main(["solve", spec_files[name], *argv, "--out", str(out)]) == 0
+    data = out.read_bytes()
+    assert data.endswith(b"\r\n") and data.count(b"\n") == data.count(b"\r\n")
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 def test_solve_mc_seed_stable(spec_files, tmp_path):

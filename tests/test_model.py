@@ -25,6 +25,7 @@ from multicoag import (
     estimate_pmf,
     gamma,
     gamma_gradient,
+    gelation_time,
     integrate,
     kernel,
     mass_vector,
@@ -366,6 +367,40 @@ def test_distribution_csv_roundtrip(tmp_path):
     loaded = SizeDistribution.from_csv(path, t=0.25)
     for c, w in dist.entries.items():
         assert loaded.entries[c] == w  # 17 significant digits round-trip exactly
+
+
+def test_distribution_csv_roundtrip_over_a_whole_window(asym2_spec, tmp_path):
+    # every value of an N=40 window read back bit for bit, in window order: a count written
+    # by %d or a value by anything but 17 significant digits would show here
+    dist = solve_window(asym2_spec, 0.5 * gelation_time(asym2_spec).T_c, 40)
+    path = tmp_path / "window.csv"
+    write_distribution_csv(path, 2, dist.entries.items())
+    loaded = SizeDistribution.from_csv(path)
+    assert list(loaded.entries) == list(dist.entries) == list(compositions_up_to(2, 40))
+    assert np.array(list(loaded.entries.values())).tobytes() == dist.entries.array.tobytes()
+
+
+# rows a writer with header n_1,n_2,<value_headers> must refuse: the csv module wrote
+# each of them as it came, so the file had too few or too many cells for its header
+CSV_MISFIT_ROWS = {
+    "short composition": (("w",), ((1,), 0.5)),
+    "long composition": (("w",), ((1, 0, 0), 0.5)),
+    "short composition, long values": (("w",), ((1,), (0.5, 0.25))),
+    "long values": (("w",), ((1, 0), (0.5, 0.25))),
+    "short values": (("freq", "se"), ((1, 0), (0.5,))),
+    "one value for two": (("freq", "se"), ((1, 0), 0.5)),
+    "empty values": (("freq", "se"), ((1, 0), ())),
+    "long composition, short values": (("freq", "se"), ((1, 0, 0), (0.5,))),
+}
+
+
+@pytest.mark.parametrize("misfit", sorted(CSV_MISFIT_ROWS))
+def test_distribution_csv_writer_refuses_a_row_that_does_not_fit_its_header(tmp_path, misfit):
+    headers, row = CSV_MISFIT_ROWS[misfit]
+    good = ((0, 1), 0.25 if headers == ("w",) else (0.25, 0.125))
+    path = tmp_path / "dist.csv"
+    with pytest.raises(SpecValidationError, match=f"^{path}, line 3: need 2\\+{len(headers)} cells"):
+        write_distribution_csv(path, 2, [good, row], value_headers=headers)
 
 
 # CSV faults, by the file's text and the line its error must name
