@@ -47,7 +47,10 @@ def _one_row(spec: ModelSpec, n) -> np.ndarray:
     comp = as_composition(n, spec.m)
     if sum(comp) < 1:
         raise SpecValidationError("need |n| >= 1")
-    return np.array([comp], dtype=np.int64)
+    try:
+        return np.array([comp], dtype=np.int64)
+    except OverflowError:
+        raise SpecValidationError(f"composition {comp} must have entries each below 2**63") from None
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")  # log 0 = -inf; the rest is checked
@@ -73,8 +76,12 @@ def _log_progeny(spec: ModelSpec, t: float, comps: np.ndarray,
     # Hadamard: |det(I - B)| <= prod_l ||(I - B)_l,:|| <= prod_l (1 + ||B_l,:||)
     bound = np.prod(1.0 + np.sqrt(np.einsum("cij,cij->ci", B, B)), axis=1)
     lam = t * na * spec.p
-    log_fact = np.array([math.lgamma(j + 1.0) for j in range(int(k.max(initial=0)) + 1)])
-    log_pois = np.log(lam, out=np.zeros(lam.shape), where=k > 0) * k - lam - log_fact[k]
+    top = int(k.max(initial=0))
+    if top < k.size:  # always in a window, where a cell of size s has cells of every size below
+        log_fact = np.array([math.lgamma(j + 1.0) for j in range(top + 1)])[k]
+    else:  # a few large counts: no table as long as the largest one
+        log_fact = np.array([math.lgamma(j + 1.0) for j in k.ravel().tolist()]).reshape(k.shape)
+    log_pois = np.log(lam, out=np.zeros(lam.shape), where=k > 0) * k - lam - log_fact
     log_p = np.log(np.maximum(det, 0.0)) + log_pois.sum(axis=1)
     broken = np.isnan(log_p) | (log_p == np.inf)
     if broken.any():
@@ -87,18 +94,14 @@ def _log_progeny(spec: ModelSpec, t: float, comps: np.ndarray,
 def _solve_rows(spec: ModelSpec, t: float, comps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """log w_n(t) and the precision flag for each row n of comps.
 
-    The root is the first component with n_i > 0; the rows model._populated keeps
-    (supp(n) in supp(p), n tree-shaped) are evaluated, the others are exactly -inf
-    and unflagged.  With assertions enabled the batch also holds every other root,
-    and each is required to give the same value.
+    The rows model._populated keeps (supp(n) in supp(p), n tree-shaped) are
+    evaluated from every root i with n_i > 0, the others are exactly -inf and
+    unflagged.  The first root gives the value and the flag; every other root
+    must give the same value, or NumericalBreakdownError names the cell.
     """
     pgf.require_subcritical(spec, t)
     reach = np.flatnonzero(_populated(spec, comps))
-    supp = comps[reach] > 0
-    if __debug__:
-        at, roots = np.nonzero(supp)  # row-major: each row's first root comes first
-    else:
-        at, roots = np.arange(len(reach)), supp.argmax(axis=1)
+    at, roots = np.nonzero(comps[reach] > 0)  # row-major: each row's first root comes first
     pairs = comps[reach[at]]
     log_p, flags = _log_progeny(spec, t, pairs, roots)
     log_pair = log_p + np.log(spec.p[roots] / pairs[np.arange(len(at)), roots])
@@ -108,12 +111,13 @@ def _solve_rows(spec: ModelSpec, t: float, comps: np.ndarray) -> tuple[np.ndarra
     log_w[reach] = log_pair[first]
     out_flags = np.zeros(len(comps), dtype=bool)
     out_flags[reach] = flags[first]
-    if __debug__:
-        mine, alt = np.exp(log_w[reach[at]]), np.exp(log_pair)
-        bad = np.abs(alt - mine) > np.maximum(1e-9 * np.maximum(alt, mine), 1e-12)
-        assert not bad.any(), (
-            f"root-choice mismatch at n={tuple(pairs[bad.argmax()].tolist())}: "
-            f"{mine[bad.argmax()]!r} vs {alt[bad.argmax()]!r} from root {roots[bad.argmax()]}"
+    mine, alt = np.exp(log_w[reach[at]]), np.exp(log_pair)
+    bad = np.abs(alt - mine) > np.maximum(1e-9 * np.maximum(alt, mine), 1e-12)
+    if bad.any():
+        b = bad.argmax()
+        raise NumericalBreakdownError(
+            f"root-choice mismatch at n={tuple(pairs[b].tolist())}: "
+            f"{mine[b]!r} vs {alt[b]!r} from root {roots[b]}"
         )
     return log_w, out_flags
 
@@ -139,12 +143,8 @@ def solve_detail(spec: ModelSpec, t: float, n) -> ProgenyValue:
 
 
 def solve(spec: ModelSpec, t: float, n) -> float:
-    """Exact w_n(t) for subcritical t, via the smallest valid root component.
-
-    Under python -O the cross-check over all valid root components is
-    skipped; with assertions enabled every valid root is required to give
-    the same value.
-    """
+    """Exact w_n(t) for subcritical t, via the smallest valid root component;
+    every other valid root is required to give the same value."""
     return solve_detail(spec, t, n).value
 
 

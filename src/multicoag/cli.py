@@ -242,11 +242,9 @@ def cmd_localize(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    from . import analytic, branching_mc, ode, pgf
+    from . import analytic, branching_mc, ode
 
     spec = _load_spec(args.spec)
-    pgf.require_subcritical(spec, args.t)
-
     exact = analytic.solve_window(spec, args.t, args.nmax).entries
     cfg = ode.OdeConfig(dt=args.dt, form="reduced")
     snap = ode.integrate(spec, ode.TruncationWindow(args.nmax), cfg, t_end=args.t)[-1]
@@ -370,6 +368,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_VALIDATION
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except MemoryError as e:  # e.g. a window too large to allocate
+        print(f"error: out of memory: {e}", file=sys.stderr)
         return EXIT_VALIDATION
 
 

@@ -13,7 +13,6 @@ Armijo backtracking, which keeps iterates in the open simplex.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -161,8 +160,8 @@ def empirical_rate(spec: ModelSpec, t: float, rho, n_list) -> RateSequence:
     """Evaluate the decay rate of w along n = N rho for each N in n_list, each N once.
 
     Every N * rho must be integral (within 1e-9) so the composition is
-    exact.  The known O(log N / N) finite-size correction is removed by the
-    least-squares fit reported in `extrapolated`.
+    exact, with each entry below 2**63.  The known O(log N / N) finite-size
+    correction is removed by the least-squares fit reported in `extrapolated`.
     """
     if np.any(spec.p <= 0.0):
         raise HypothesisError("rate evaluation requires p_i > 0 for every component")
@@ -172,22 +171,21 @@ def empirical_rate(spec: ModelSpec, t: float, rho, n_list) -> RateSequence:
     if not n_list or len(set(n_list)) < len(n_list):  # a repeated N adds no equation to the fit
         raise SpecValidationError(f"n_list must be nonempty with no N twice, got {n_list}")
 
-    points: list[tuple[int, float]] = []
-    flags: list[bool] = []
-    for n_tot in n_list:
-        scaled = r * n_tot
-        comp = np.rint(scaled)
-        if np.any(np.abs(scaled - comp) > 1e-9):
-            raise SpecValidationError(f"N * rho is not integral at N={n_tot}: {scaled}")
-        detail = analytic.solve_detail(spec, t, tuple(int(v) for v in comp))
-        if detail.log_value == -math.inf:
-            raise SpecValidationError(f"w vanishes at N={n_tot}; direction unreachable")
-        points.append((n_tot, -detail.log_value / n_tot))
-        flags.append(detail.precision_limited)
+    scaled = np.outer(np.array(n_list, dtype=float), r)
+    comps = np.rint(scaled)
+    bad = np.any((np.abs(scaled - comps) > 1e-9) | (comps >= 2.0**63), axis=1)
+    if bad.any():
+        i = int(bad.argmax())
+        raise SpecValidationError(f"N * rho must be integral with entries each below 2**63, "
+                                  f"not so at N={n_list[i]}: {scaled[i]}")
+    log_w, flags = analytic._solve_rows(spec, t, comps.astype(np.int64))
+    if np.isneginf(log_w).any():
+        raise SpecValidationError(f"w vanishes at N={n_list[int(log_w.argmin())]}; direction unreachable")
+    points = [(n, -float(lw) / n) for n, lw in zip(n_list, log_w)]
 
     running = [_rate_fit(points[: k + 1]) for k in range(len(points))]
     return RateSequence(points=points, extrapolated=running[-1], running=running,
-                        precision_limited=flags)
+                        precision_limited=flags.tolist())
 
 
 def _rate_fit(points: list[tuple[int, float]]) -> float | None:

@@ -180,15 +180,12 @@ class _Convolution:
         """The sum on the window cells, for u of shape (r, cells), r = len(lam) <= rank."""
         r = len(lam)
         self.flat[self.scatter[:r * len(self.index)]] = u.reshape(-1)
-        modular = len(self.total) > 1  # a length-1 transform (m = 1) is the identity
         x = np.fft.rfft(self.grid[:r], n=self.size, axis=-1, out=self.spectrum[:r])
-        if modular:
-            np.fft.fft(x, axis=1, out=x)
+        np.fft.fft(x, axis=1, out=x)  # along the modular axis; exact at length 1 (m = 1)
         x *= x
         x *= lam[:, None, None]
         np.sum(x, axis=0, out=self.total)
-        if modular:
-            np.fft.ifft(self.total, axis=0, out=self.total)
+        np.fft.ifft(self.total, axis=0, out=self.total)
         np.fft.irfft(self.total, n=self.size, axis=-1, out=self.out)
         return self.out.reshape(-1)[self.index]
 

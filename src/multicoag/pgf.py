@@ -100,7 +100,7 @@ def gelation_time(spec: ModelSpec) -> GelationReport:
         idx = np.asarray(block, dtype=int)
         root_p = np.sqrt(spec.p[idx])
         S = root_p[:, None] * spec.A[np.ix_(idx, idx)] * root_p[None, :]
-        lam = float(np.linalg.eigvalsh(S)[-1]) if len(idx) > 1 else float(S[0, 0])
+        lam = float(np.linalg.eigvalsh(S)[-1])
         lam = max(lam, 0.0)  # symmetric nonnegative: top eigenvalue is the Perron root
         out.append(BlockCriticality(
             indices=tuple(block), spectral_value=lam,

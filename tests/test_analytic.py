@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import inspect
 import math
 import os
 import subprocess
@@ -30,7 +31,7 @@ from multicoag import (
 import multicoag
 from multicoag import analytic, oracles
 
-from conftest import random_subcritical_instance, tree_compositions
+from conftest import random_subcritical_instance, traced_peak, tree_compositions
 
 # The 2^m principal-minor expansion of the closed form's determinant: a test
 # oracle only, which no solve goes through.
@@ -381,7 +382,8 @@ def test_series_oracle_rescaling_matches_direct_expansion():
 
 
 def test_root_index_independence_debug_assert(m3_spec):
-    # solve cross-checks every valid root internally; also check explicitly
+    # solve cross-checks every valid root internally, in every interpreter mode;
+    # also check explicitly
     tc = gelation_time(m3_spec).T_c
     t = 0.5 * tc
     for n in ((1, 1, 1), (2, 0, 1), (0, 3, 2)):
@@ -403,8 +405,8 @@ for m, A, p, n_max in {cases!r}:
 
 
 def test_optimized_mode_solves_the_same_window(m3_spec, red3_spec, bip_spec):
-    # under python -O, _solve_rows evaluates one root per cell instead of every
-    # root; both batches must give the same bytes
+    # _solve_rows once evaluated one root per cell under python -O and every root
+    # otherwise; both interpreter modes must give the same bytes
     cases = [(s.m, s.A.tolist(), s.p.tolist(), n_max)
              for s, n_max in ((m3_spec, 15), (red3_spec, 15), (bip_spec, 30))]
     src = os.path.dirname(os.path.dirname(multicoag.__file__))
@@ -414,6 +416,70 @@ def test_optimized_mode_solves_the_same_window(m3_spec, red3_spec, bip_spec):
                            env=env, check=True).stdout.splitlines() for flags in (["-O"], [])]
     assert [run[0] for run in runs] == ["False", "True"]
     assert runs[0][1:] == runs[1][1:]
+
+
+def _skew_other_roots(log_progeny):
+    """_log_progeny with each non-first root's probability doubled."""
+    def skewed(spec, t, comps, roots):
+        log_p, flags = log_progeny(spec, t, comps, roots)
+        return log_p + math.log(2.0) * (roots != (comps > 0).argmax(axis=1)), flags
+    return skewed
+
+
+def test_root_mismatch_raises(monkeypatch, m3_spec):
+    monkeypatch.setattr(analytic, "_log_progeny", _skew_other_roots(analytic._log_progeny))
+    t = 0.5 * gelation_time(m3_spec).T_c
+    assert solve(m3_spec, t, (3, 0, 0)) > 0.0  # one root: nothing to disagree with
+    with pytest.raises(NumericalBreakdownError, match=r"root-choice mismatch at n=\(1, 1, 1\)"):
+        solve(m3_spec, t, (1, 1, 1))
+    with pytest.raises(NumericalBreakdownError, match="root-choice mismatch"):
+        solve_window(m3_spec, t, 4)
+
+
+SKEW_PROBE = """
+import math, sys
+from multicoag import ModelSpec, NumericalBreakdownError, analytic
+from multicoag.cli import main
+{skew}
+analytic._log_progeny = _skew_other_roots(analytic._log_progeny)
+try:
+    analytic.solve(ModelSpec(m=2, A=[[1.0, 2.0], [2.0, 1.0]], p=[0.7, 0.3]), 0.2, (1, 1))
+except NumericalBreakdownError as e:
+    print(__debug__, str(e).split(":")[0])
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("flags", [["-O"], []], ids=["optimized", "plain"])
+def test_root_mismatch_exits_5_in_every_interpreter_mode(tmp_path, flags):
+    # the root check was once an assert: python -O skipped it, and without -O a
+    # mismatch ended in an AssertionError traceback
+    spec = tmp_path / "demo.json"
+    spec.write_text('{"m": 2, "A": [[1.0, 2.0], [2.0, 1.0]], "p": [0.7, 0.3]}')
+    out = tmp_path / "w.csv"
+    src = os.path.dirname(os.path.dirname(multicoag.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = SKEW_PROBE.format(skew=inspect.getsource(_skew_other_roots))
+    proc = subprocess.run([sys.executable, *flags, "-c", probe, "solve", str(spec), "--t", "0.2",
+                           "--nmax", "4", "--out", str(out)], capture_output=True, text=True, env=env)
+    assert proc.stdout.splitlines() == [f"{not flags} root-choice mismatch at n=(1, 1)"]
+    assert proc.returncode == 5 and not out.exists()
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: numerical failure: root-choice mismatch at n=")
+
+
+def test_one_large_cell_needs_no_table_as_long_as_its_count():
+    # a table of log k! up to the largest count once peaked at 115 MiB traced here
+    demo = ModelSpec(m=2, A=[[1.0, 2.0], [2.0, 1.0]], p=[0.7, 0.3])
+    t = 0.3 * gelation_time(demo).T_c
+    assert traced_peak(lambda: solve(demo, t, (3_000_000, 0))) < 1.0
+    assert solve(demo, t, (60, 0)) == solve_window(demo, t, 60).entries[(60, 0)]
+
+
+def test_composition_past_int64_is_a_validation_error(m1_spec):
+    with pytest.raises(SpecValidationError, match=r"each below 2\*\*63"):
+        solve(m1_spec, 0.5, (2**63,))
+    assert solve(m1_spec, 0.5, (2**63 - 1,)) == 0.0  # far below the smallest float
 
 
 def test_solve_detail_flags(m1_spec):

@@ -363,6 +363,9 @@ BIP_MODEL = '{"m": 2, "A": [[0.0, 1.0], [1.0, 0.0]], "p": [0.5, 0.5]}'
                 "--out", "NODIR"], False),
     (BIP_MODEL, ["localize", "--t", "0.5", "--rate-check", "0.5,0.5", "--rate-out", "NODIR"],
      False),
+    # a composition entry past int64 once ended in an OverflowError traceback
+    (M1_MODEL, ["localize", "--t", "0.5", "--rate-check", "1.0", "--n-list",
+                "100000000000000000000", "--rate-out", "OUT"], False),
 ], ids=["non_object_json", "malformed_json", "m_not_an_integer", "m_fractional", "m_boolean",
         "A_as_text", "p_as_text", "A_boolean", "p_boolean", "nested_too_deep",
         "rate_check_not_numbers", "n_list_not_numbers", "n_list_fractional", "n_list_repeated",
@@ -372,7 +375,7 @@ BIP_MODEL = '{"m": 2, "A": [[0.0, 1.0], [1.0, 0.0]], "p": [0.5, 0.5]}'
         "tol_ode_nan", "tol_ode_negative", "mc_sigma_negative", "mc_sigma_inf",
         "deficit_tol_nan", "deficit_tol_negative", "mc_floor_above_1", "mc_floor_nan",
         "mc_floor_0", "gelation_out_no_dir", "analytic_out_no_dir", "ode_out_no_dir",
-        "mc_out_no_dir", "rate_out_no_dir"])
+        "mc_out_no_dir", "rate_out_no_dir", "n_list_past_int64"])
 def test_input_faults_exit_2_with_one_line(tmp_path, capsys, model, args, model_fault):
     # exit 1 is the compare verdict FAIL; only model-file faults read as a model error
     spec = tmp_path / "model.json"
@@ -387,6 +390,38 @@ def test_input_faults_exit_2_with_one_line(tmp_path, capsys, model, args, model_
     assert ("invalid model instance" in err[0]) == model_fault
     assert not out.exists()
     assert captured.out == "" and [p.name for p in tmp_path.iterdir()] == ["model.json"]
+
+
+MEMORY_PROBE = """
+import json, resource, sys
+from multicoag.cli import main
+# a ceiling on this interpreter's address space: a request the host would grant
+# lazily still fails here at once, and never fills the host's memory
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+limit = 4 * 2**30 if hard == resource.RLIM_INFINITY else min(4 * 2**30, hard)
+resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))
+"""
+
+
+def test_window_too_large_to_allocate_exits_2_with_one_line(tmp_path):
+    # an m3 window of |n| <= 10^6 needs TiBs: every method and compare once ended in
+    # numpy's _ArrayMemoryError traceback with exit 1, which reads as compare's FAIL
+    spec = tmp_path / "m3.json"
+    spec.write_text(json.dumps({"m": 3, "A": [[1.0, 2.0, 0.0], [2.0, 1.0, 1.0], [0.0, 1.0, 1.0]],
+                                "p": [0.3, 0.3, 0.4]}))
+    window = ["--t", "0.2", "--nmax", "1000000"]
+    argvs = [["solve", str(spec), *window, "--method", method, "--replicates", "1000",
+              "--out", str(tmp_path / f"{method}.csv")] for method in ("analytic", "ode", "mc")]
+    argvs.append(["compare", str(spec), *window, "--mc-replicates", "1000"])
+    src = os.path.dirname(os.path.dirname(multicoag.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", MEMORY_PROBE, json.dumps(argvs)],
+                          capture_output=True, text=True, env=env)
+    assert json.loads(proc.stdout) == [2] * len(argvs)
+    err = proc.stderr.splitlines()
+    assert len(err) == len(argvs) and all(line.startswith("error: out of memory: ") for line in err)
+    assert [p.name for p in tmp_path.iterdir()] == ["m3.json"]
 
 
 HUGE_2 = {"m": 2, "A": [[1e308, 1e308], [1e308, 1e308]], "p": [0.5, 0.5]}

@@ -17,7 +17,9 @@ from multicoag import (
     gelation_time,
     minimize_gamma,
     sigma,
+    solve_detail,
 )
+from multicoag import analytic
 from conftest import random_interior_simplex
 
 
@@ -262,6 +264,30 @@ def test_empirical_rate_refuses_a_repeated_size(bip_spec, n_list):
     # [50, 50, 100] fit three unknowns to two points
     with pytest.raises(SpecValidationError, match=r"^n_list must be nonempty with no N twice"):
         empirical_rate(bip_spec, 0.3, [0.5, 0.5], n_list)
+
+
+def test_empirical_rate_is_one_batch_of_the_per_size_values(monkeypatch, m3_spec):
+    # the rate sequence was once one solve_detail call per N: the batch keeps every bit
+    t = 0.5 * gelation_time(m3_spec).T_c
+    rho, n_list = [0.3, 0.3, 0.4], [50, 100, 200, 400]
+    singles = [solve_detail(m3_spec, t, tuple(round(n * r) for r in rho)) for n in n_list]
+    batches = []
+    solve_rows = analytic._solve_rows
+    monkeypatch.setattr(analytic, "_solve_rows",
+                        lambda spec, t, comps: batches.append(len(comps)) or solve_rows(spec, t, comps))
+    seq = empirical_rate(m3_spec, t, rho, n_list)
+    assert batches == [len(n_list)]
+    assert seq.points == [(n, -d.log_value / n) for n, d in zip(n_list, singles)]
+    assert seq.precision_limited == [d.precision_limited for d in singles]
+
+
+def test_empirical_rate_names_the_first_bad_size(bip_spec):
+    with pytest.raises(SpecValidationError, match=r"at N=25: \[12.5 12.5\]$"):
+        empirical_rate(bip_spec, 1.0, [0.5, 0.5], [20, 25, 27])
+    # an entry past int64 once ended in an OverflowError from numpy
+    with pytest.raises(SpecValidationError,
+                       match=r"each below 2\*\*63, not so at N=20000000000000000000:"):
+        empirical_rate(bip_spec, 1.0, [0.5, 0.5], [20, 2 * 10**19, 10**20])
 
 
 def test_rate_running_fit_needs_three_points(m1_spec):

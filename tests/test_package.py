@@ -100,3 +100,19 @@ def test_benchmark_worker_imports_exist():
     assert public and [n for n in public if n not in multicoag.__all__] == []
     assert [(module, name) for module, name in imports if module != "multicoag"
             and not hasattr(import_module(module), name)] == []
+
+
+def test_no_check_depends_on_the_interpreter_mode():
+    # python -O drops assert statements and reads __debug__ as False, so a check
+    # written with either would run in one interpreter mode only
+    package = os.path.dirname(multicoag.__file__)
+    found = []
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            path = os.path.join(package, name)
+            with open(path, encoding="utf-8") as f:
+                tree = ast.parse(f.read(), filename=path)
+            found += [(name, node.lineno) for node in ast.walk(tree)
+                      if isinstance(node, ast.Assert)
+                      or isinstance(node, ast.Name) and node.id == "__debug__"]
+    assert found == []
