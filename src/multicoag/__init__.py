@@ -21,17 +21,15 @@ __version__ = "0.1.0"
 _PUBLIC = (
     ("errors", ("CoagulationError", "ConvergenceError", "CriticalityError", "HypothesisError",
                 "IntegrationError", "NumericalBreakdownError", "SpecValidationError")),
-    ("model", ("Composition", "ModelSpec", "SizeDistribution", "ValidationReport",
-               "as_composition")),
+    ("model", ("Composition", "ModelSpec", "SizeDistribution", "as_composition")),
     ("oracles", ("borel_oracle",)),
-    ("model", ("composition_size", "compositions_up_to", "kernel", "mass_vector", "validate",
-               "write_distribution_csv")),
+    ("model", ("compositions_up_to", "mass_vector", "validate", "write_distribution_csv")),
     ("pgf", ("BlockCriticality", "FixedPointResult", "GelationReport", "gelation_time")),
     ("oracles", ("pde_residual",)),
     ("pgf", ("solve_fixed_point",)),
     ("analytic", ("ProgenyValue", "progeny_pmf")),
     ("oracles", ("series_oracle",)),
-    ("analytic", ("solve", "solve_detail", "solve_log", "solve_window")),
+    ("analytic", ("solve", "solve_detail", "solve_window")),
     ("ode", ("OdeConfig", "OdeSnapshot", "TruncationWindow", "derivative", "integrate")),
     ("branching_mc", ("McConfig", "McPmfEstimate", "estimate_pmf", "sample_progeny_batch")),
     ("localization", ("LocalizationResult", "RateSequence", "as_simplex_point",

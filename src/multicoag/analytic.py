@@ -136,7 +136,14 @@ def progeny_pmf(spec: ModelSpec, t: float, i: int, n) -> float:
 
 
 def solve_detail(spec: ModelSpec, t: float, n) -> ProgenyValue:
-    """w_n(t) with the precision flag attached."""
+    """w_n(t) with its log and the precision flag attached.
+
+    log_value stays finite far beyond the range where w_n itself underflows,
+    which is what large-deviation rate evaluations need.  It is -inf in two
+    cases: with precision_limited False, no tree of the process produces n;
+    with precision_limited True, n is reachable but det(I - B) was lost to
+    rounding (the bipartite model at n = (10**16, 10**16)).
+    """
     log_w, flags = _solve_rows(spec, t, _one_row(spec, n))
     return ProgenyValue(value=math.exp(log_w[0]), log_value=float(log_w[0]),
                         precision_limited=bool(flags[0]))
@@ -146,15 +153,6 @@ def solve(spec: ModelSpec, t: float, n) -> float:
     """Exact w_n(t) for subcritical t, via the smallest valid root component;
     every other valid root is required to give the same value."""
     return solve_detail(spec, t, n).value
-
-
-def solve_log(spec: ModelSpec, t: float, n) -> float:
-    """log w_n(t); -inf when the composition is unreachable.
-
-    Stays finite far beyond the range where w_n itself underflows, which is
-    what large-deviation rate evaluations need.
-    """
-    return solve_detail(spec, t, n).log_value
 
 
 def solve_window(spec: ModelSpec, t: float, n_max: int) -> SizeDistribution:

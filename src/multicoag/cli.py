@@ -118,8 +118,7 @@ def _number_list(option: str, text: str, kind: type) -> list:
 
 def _load_spec(path: str) -> ModelSpec:
     spec = ModelSpec.from_json(path)
-    report = validate(spec)
-    for msg in report.messages:
+    for msg in validate(spec):
         print(f"note: {msg}", file=sys.stderr)
     return spec
 

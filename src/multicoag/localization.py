@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytic, pgf
-from .errors import ConvergenceError, HypothesisError, SpecValidationError
+from .errors import ConvergenceError, HypothesisError, NumericalBreakdownError, SpecValidationError
 from .model import ModelSpec, _count, _reals, _time
 
 BOUNDARY_TOL = 1e-14     # iterate this close to the boundary => boundary-minimum flag
@@ -162,6 +162,8 @@ def empirical_rate(spec: ModelSpec, t: float, rho, n_list) -> RateSequence:
     Every N * rho must be integral (within 1e-9) so the composition is
     exact, with each entry below 2**63.  The known O(log N / N) finite-size
     correction is removed by the least-squares fit reported in `extrapolated`.
+    A w of 0 at some N raises SpecValidationError when no tree of the process
+    produces N rho, and NumericalBreakdownError when det(I - B) rounds to 0.
     """
     if np.any(spec.p <= 0.0):
         raise HypothesisError("rate evaluation requires p_i > 0 for every component")
@@ -179,8 +181,13 @@ def empirical_rate(spec: ModelSpec, t: float, rho, n_list) -> RateSequence:
         raise SpecValidationError(f"N * rho must be integral with entries each below 2**63, "
                                   f"not so at N={n_list[i]}: {scaled[i]}")
     log_w, flags = analytic._solve_rows(spec, t, comps.astype(np.int64))
-    if np.isneginf(log_w).any():
-        raise SpecValidationError(f"w vanishes at N={n_list[int(log_w.argmin())]}; direction unreachable")
+    vanish = np.isneginf(log_w)
+    unreachable = vanish & ~flags  # no tree of the process produces n: the input's fault
+    if unreachable.any():
+        raise SpecValidationError(f"w vanishes at N={n_list[int(unreachable.argmax())]}; direction unreachable")
+    if vanish.any():  # reachable, but det(I - B) rounds to 0
+        raise NumericalBreakdownError(f"w at N={n_list[int(vanish.argmax())]} is lost to rounding: "
+                                      "det(I - B) rounds to 0 on a reachable direction")
     points = [(n, -float(lw) / n) for n, lw in zip(n_list, log_w)]
 
     running = [_rate_fit(points[: k + 1]) for k in range(len(points))]

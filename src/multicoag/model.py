@@ -47,11 +47,6 @@ def as_composition(n: Iterable[int], m: int | None = None) -> Composition:
     return comp
 
 
-def composition_size(n: Iterable[int]) -> int:
-    """Total monomer count |n| of a composition, as read by as_composition."""
-    return sum(as_composition(n))
-
-
 def _whole_number(name: str, value) -> int:
     """value as an int when it is an int, a numpy integer or an integral float
     (1e5 is taken as 100000); SpecValidationError for anything else."""
@@ -215,49 +210,30 @@ class ModelSpec:
         return hashlib.sha256(canon.encode()).hexdigest()
 
 
-@dataclass
-class ValidationReport:
-    m: int
-    symmetrized: bool
-    renormalized: bool
-    zero_p: list[int]
-    irreducible: bool
-    blocks: list[list[int]]
-    messages: list[str]
-
-
-def validate(spec: ModelSpec) -> ValidationReport:
-    """Report structural facts about an already-constructed instance.
+def validate(spec: ModelSpec) -> list[str]:
+    """Notes on the structural facts of an already-constructed instance.
 
     Hard failures (negative entries, bad normalization, zero kernel) are
     raised by the ModelSpec constructor; this never rejects reducibility,
-    it only flags it.
+    it only flags it.  The facts themselves are ModelSpec's (symmetrized,
+    renormalized, support) and gelation_time's (irreducible, blocks).
     """
     support = list(spec.support)
     zero_p = [i for i in range(spec.m) if i not in support]
     blocks = _support_blocks(spec.A, support)
-    irreducible = len(blocks) <= 1
-    messages = []
+    notes = []
     if spec.symmetrized:
-        messages.append("A was symmetrized to (A + A^T)/2")
+        notes.append("A was symmetrized to (A + A^T)/2")
     if spec.renormalized:
-        messages.append("p was renormalized to sum to 1")
+        notes.append("p was renormalized to sum to 1")
     if zero_p:
-        messages.append(f"components with p_i = 0: {zero_p} (never populated)")
-    if not irreducible:
-        messages.append(
+        notes.append(f"components with p_i = 0: {zero_p} (never populated)")
+    if len(blocks) > 1:
+        notes.append(
             f"support graph of A splits into blocks {blocks}; "
             "each block gels at its own critical time"
         )
-    return ValidationReport(
-        m=spec.m,
-        symmetrized=spec.symmetrized,
-        renormalized=spec.renormalized,
-        zero_p=zero_p,
-        irreducible=irreducible,
-        blocks=blocks,
-        messages=messages,
-    )
+    return notes
 
 
 def _support_blocks(A: np.ndarray, support: list[int]) -> list[list[int]]:
@@ -277,13 +253,6 @@ def _support_blocks(A: np.ndarray, support: list[int]) -> list[list[int]]:
         blocks.append(sorted(seen))
         remaining -= seen
     return blocks
-
-
-def kernel(spec: ModelSpec, k: Iterable[int], l: Iterable[int]) -> float:
-    """Merge rate K(k, l) = k . A l for two compositions."""
-    ka = np.asarray(as_composition(k, spec.m), dtype=float)
-    la = np.asarray(as_composition(l, spec.m), dtype=float)
-    return float(ka @ spec.A @ la)
 
 
 @lru_cache(maxsize=32)

@@ -24,7 +24,6 @@ from multicoag import (
     progeny_pmf,
     solve,
     solve_detail,
-    solve_log,
     solve_window,
     series_oracle,
 )
@@ -305,7 +304,7 @@ def test_solve_zero_p_component_conventions():
 
 def test_solve_log_consistency(m1_spec):
     for n in (1, 5, 40, 120):
-        lw = solve_log(m1_spec, 0.5, (n,))
+        lw = solve_detail(m1_spec, 0.5, (n,)).log_value
         assert lw == pytest.approx(math.log(borel_oracle(0.5, n)), abs=1e-9)
 
 
@@ -501,7 +500,7 @@ def test_solve_window_matches_minor_sum_oracle(request, name, n_max):
         for n, w in dist.entries.items():
             roots = [i for i in range(spec.m) if n[i] > 0 and spec.p[i] > 0.0]
             if not any(n in trees[i] for i in roots):
-                assert w == 0.0 and solve_log(spec, t, n) == -math.inf
+                assert w == 0.0 and solve_detail(spec, t, n).log_value == -math.inf
                 assert not solve_detail(spec, t, n).precision_limited
                 continue
             for i in roots:
@@ -538,17 +537,26 @@ def test_solve_log_matches_50_digit_minor_sum(request):
                 term *= mpmath.exp(k * mpmath.log(lam[l]) - lam[l] - mpmath.loggamma(k + 1))
             total += term
         ref = float(mpmath.log(p[0] / n[0] * total))
-    assert solve_log(spec, t, n) == pytest.approx(ref, rel=1e-13, abs=0.0)
+    assert solve_detail(spec, t, n).log_value == pytest.approx(ref, rel=1e-13, abs=0.0)
 
 
 def test_unreachable_compositions_are_exact_zeros(m3_spec):
     # A_02 = 0, so types 0 and 2 alone cannot form a cluster
     t = 0.5 * gelation_time(m3_spec).T_c
     assert solve(m3_spec, t, (1, 0, 2)) == 0.0
-    assert solve_log(m3_spec, t, (1, 0, 2)) == -math.inf
+    assert solve_detail(m3_spec, t, (1, 0, 2)).log_value == -math.inf
     assert not solve_detail(m3_spec, t, (1, 0, 2)).precision_limited
     dist = solve_window(m3_spec, t, 20)
     assert sum(1 for w in dist.entries.values() if w == 0.0) == 190
+
+
+def test_two_kinds_of_minus_inf(bip_spec):
+    # (2, 0): A_00 = 0, so no tree produces it; (10**16, 10**16) is reachable,
+    # but det(I - B) = 1/N rounds to 0
+    lost = solve_detail(bip_spec, 1.0, (10**16, 10**16))
+    assert lost.log_value == -math.inf and lost.precision_limited
+    none = solve_detail(bip_spec, 1.0, (2, 0))
+    assert none.log_value == -math.inf and not none.precision_limited
 
 
 def test_precision_flag_fires_wherever_the_minor_sum_cancels(m3_spec, monkeypatch):

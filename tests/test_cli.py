@@ -392,6 +392,24 @@ def test_input_faults_exit_2_with_one_line(tmp_path, capsys, model, args, model_
     assert captured.out == "" and [p.name for p in tmp_path.iterdir()] == ["model.json"]
 
 
+def test_rate_check_tells_unreachable_from_rounding(spec_files, capsys):
+    # bip's (N/2, N/2) is reachable, but det(I - B) = 1/N rounds to 0: that once exited 2
+    # as an unreachable direction; ident's types never meet, an input fault
+    big = "1000000000000000000,2000000000000000000,4000000000000000000"
+    rate = ["--t", "1.0", "--rate-check", "0.5,0.5", "--n-list"]
+    assert main(["localize", spec_files["bip"], *rate, big]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: numerical failure: w at N=1000000000000000000 is lost to rounding: "
+        "det(I - B) rounds to 0 on a reachable direction"]
+    assert main(["localize", spec_files["ident"], *rate, "10,20,40"]) == 2
+    captured = capsys.readouterr()
+    errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+    assert captured.out == "" and len(errors) == 1
+    assert errors[0].endswith("w vanishes at N=10; direction unreachable")
+
+
 MEMORY_PROBE = """
 import json, resource, sys
 from multicoag.cli import main

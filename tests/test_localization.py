@@ -9,6 +9,7 @@ from multicoag import (
     CriticalityError,
     HypothesisError,
     ModelSpec,
+    NumericalBreakdownError,
     SpecValidationError,
     as_simplex_point,
     empirical_rate,
@@ -288,6 +289,15 @@ def test_empirical_rate_names_the_first_bad_size(bip_spec):
     with pytest.raises(SpecValidationError,
                        match=r"each below 2\*\*63, not so at N=20000000000000000000:"):
         empirical_rate(bip_spec, 1.0, [0.5, 0.5], [20, 2 * 10**19, 10**20])
+
+
+def test_empirical_rate_tells_unreachable_from_rounding(bip_spec):
+    # (N/2, N/2) is reachable, but det(I - B) = 1/N rounds to 0: once "direction unreachable"
+    with pytest.raises(NumericalBreakdownError, match=r"N=1000000000000000000 is lost to rounding"):
+        empirical_rate(bip_spec, 1.0, [0.5, 0.5], [10**18, 2 * 10**18, 4 * 10**18])
+    ident = ModelSpec(m=2, A=[[1.0, 0.0], [0.0, 1.0]], p=[0.5, 0.5])  # types 0 and 1 never meet
+    with pytest.raises(SpecValidationError, match=r"N=10; direction unreachable$"):
+        empirical_rate(ident, 1.0, [0.5, 0.5], [10, 20, 40])
 
 
 def test_rate_running_fit_needs_three_points(m1_spec):

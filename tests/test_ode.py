@@ -23,7 +23,6 @@ from multicoag import (
     gelation_time,
     integrate,
     compositions_up_to,
-    kernel,
     mass_vector,
     solve_window,
 )
@@ -50,7 +49,8 @@ def pair_sum_derivative(spec, dist, window, form):
             l = tuple(a - b for a, b in zip(n, k))
             wk, wl = w.get(k, 0.0), w.get(l, 0.0)
             if any(k) and any(l) and wk != 0.0 and wl != 0.0:  # else the term is an exact 0
-                terms.append(kernel(spec, k, l) * wk * wl)
+                ka, la = np.asarray(k, dtype=float), np.asarray(l, dtype=float)
+                terms.append(float(ka @ spec.A @ la) * wk * wl)
         loss = w.get(n, 0.0) * float(np.asarray(n, dtype=float) @ (spec.A @ mass))
         out[n] = 0.5 * math.fsum(terms) - loss
         largest = max([largest, abs(loss)] + [abs(t) for t in terms])

@@ -11,7 +11,8 @@ import pytest
 
 import multicoag
 
-DROPPED = ("minor_table", "MinorTable", "poisson_rates")  # test oracles, now in the tests
+DROPPED = ("minor_table", "MinorTable", "poisson_rates",  # test oracles, now in the tests
+           "solve_log", "composition_size", "kernel", "ValidationReport")  # said by other names
 ORACLES = ("series_oracle", "borel_oracle", "pde_residual")  # in multicoag.oracles
 
 PROBE = f"""
@@ -100,6 +101,19 @@ def test_benchmark_worker_imports_exist():
     assert public and [n for n in public if n not in multicoag.__all__] == []
     assert [(module, name) for module, name in imports if module != "multicoag"
             and not hasattr(import_module(module), name)] == []
+
+
+def test_readme_python_api_block_runs(tmp_path):
+    # the README's one Python example, run as written, imports only public names
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    with open(readme, encoding="utf-8") as f:
+        section = f.read().split("\n## Python API\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    imported = [alias.name for node in ast.walk(ast.parse(block))
+                if isinstance(node, ast.ImportFrom) and node.module == "multicoag"
+                for alias in node.names]
+    assert imported and [n for n in imported if n not in multicoag.__all__] == []
+    assert _fresh_python("-c", block, cwd=tmp_path).returncode == 0
 
 
 def test_no_check_depends_on_the_interpreter_mode():
