@@ -13,7 +13,7 @@ Armijo backtracking, which keeps iterates in the open simplex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -42,33 +42,37 @@ def as_simplex_point(rho, m: int, interior: bool = True) -> np.ndarray:
     return r
 
 
+def _rate(spec: ModelSpec, t: float, r: np.ndarray) -> tuple[np.ndarray, float, np.ndarray | None]:
+    """sigma, Gamma (+inf where some sigma_l = 0 < r_l) and grad Gamma (None unless r is interior
+    and Gamma finite) at a checked simplex point r, all from one sigma and with no warning."""
+    s = spec.p * (spec.A.T @ r)
+    live = r > 0.0
+    if np.any(live & (s <= 0.0)):
+        return s, np.inf, None
+    log_ratio = np.log(r[live] / (t * s[live]))  # 0 ln 0 = 0 on the boundary
+    value = float(np.sum(t * s) - 1.0) + float(np.sum(r[live] * log_ratio))
+    return s, value, log_ratio + 1.0 + (spec.A * spec.p[None, :]) @ (t - r / s) if live.all() else None
+
+
 def sigma(spec: ModelSpec, rho) -> np.ndarray:
     """Per-component collision intensities sigma_l = sum_k rho_k A_kl p_l."""
-    r = as_simplex_point(rho, spec.m, interior=False)
-    return spec.p * (spec.A.T @ r)
+    return _rate(spec, 1.0, as_simplex_point(rho, spec.m, interior=False))[0]  # no sigma_l depends on t
 
 
 def gamma(spec: ModelSpec, t: float, rho) -> float:
     """Rate function value at direction rho (finite for t in (0, T_c])."""
-    t = _time("t", t, positive=True)
-    r = as_simplex_point(rho, spec.m, interior=False)
-    s = sigma(spec, r)
-    live = r > 0.0
-    if np.any(live & (s <= 0.0)):
+    value = _rate(spec, _time("t", t, positive=True), as_simplex_point(rho, spec.m, interior=False))[1]
+    if value == np.inf:
         raise HypothesisError("sigma_l = 0 with rho_l > 0: the rate is +inf in this direction")
-    val = float(np.sum(t * s) - 1.0)
-    val += float(np.sum(r[live] * np.log(r[live] / (t * s[live]))))
-    return val
+    return value
 
 
 def gamma_gradient(spec: ModelSpec, t: float, rho) -> np.ndarray:
     """Gradient d Gamma / d rho_j = ln(rho_j/(t sigma_j)) + 1 + sum_l (t - rho_l/sigma_l) A_jl p_l."""
-    t = _time("t", t, positive=True)
-    r = as_simplex_point(rho, spec.m)
-    s = sigma(spec, r)
-    if np.any(s <= 0.0):
+    grad = _rate(spec, _time("t", t, positive=True), as_simplex_point(rho, spec.m))[2]
+    if grad is None:
         raise HypothesisError("sigma_l = 0 on an interior point: gradient undefined")
-    return np.log(r / (t * s)) + 1.0 + (spec.A * spec.p[None, :]) @ (t - r / s)
+    return grad
 
 
 @dataclass
@@ -81,14 +85,7 @@ class LocalizationResult:
     boundary_minimum: bool
 
     def to_dict(self) -> dict:
-        return {
-            "rho_star": self.rho_star.tolist(),
-            "gamma_min": self.gamma_min,
-            "grad_norm": self.grad_norm,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "boundary_minimum": self.boundary_minimum,
-        }
+        return {**asdict(self), "rho_star": self.rho_star.tolist()}
 
 
 def minimize_gamma(spec: ModelSpec, t: float, tol: float = 1e-10,
@@ -105,40 +102,37 @@ def minimize_gamma(spec: ModelSpec, t: float, tol: float = 1e-10,
         raise HypothesisError("localization requires p_i > 0 for every component")
     pgf.require_subcritical(spec, t)
 
+    # each iterate is evaluated once, at the point as_simplex_point makes of it, so the report is
+    # exactly what gamma and gamma_gradient return at rho_star
     rho = np.full(spec.m, 1.0 / spec.m)
-    value = gamma(spec, t, rho)
+    _, value, grad = _rate(spec, t, rho / float(rho.sum()))
+    if grad is None:
+        raise HypothesisError("sigma_l = 0 with rho_l > 0: the rate is +inf in this direction")
     eta = 1.0
     for it in range(1, max_iter + 1):
-        grad = gamma_gradient(spec, t, rho)
         proj = grad - grad.mean()
         gnorm = float(np.linalg.norm(proj))
-        if gnorm <= tol:
-            return LocalizationResult(rho, value, gnorm, it - 1, True, False)
         # local decrease predicted by the mirror geometry
         decrease = float(np.sum(rho * (grad - float(rho @ grad)) ** 2))
-        if decrease == 0.0:
+        if gnorm <= tol or decrease == 0.0:
             return LocalizationResult(rho, value, gnorm, it - 1, True, False)
         while True:
             z = -eta * proj
             z -= z.max()
             cand = rho * np.exp(z)
             cand /= cand.sum()
-            cand_value = gamma(spec, t, cand)
+            _, cand_value, cand_grad = _rate(spec, t, cand / float(cand.sum()))
             target = value - ARMIJO_C1 * eta * decrease
             if cand_value <= target or eta < 1e-14:
                 break
             # inside the value noise floor, a step must shrink the projected gradient
-            if cand_value <= target + VALUE_NOISE:
-                cand_grad = gamma_gradient(spec, t, cand)
-                if np.linalg.norm(cand_grad - cand_grad.mean()) < gnorm:
-                    break
+            if cand_value <= target + VALUE_NOISE and np.linalg.norm(cand_grad - cand_grad.mean()) < gnorm:
+                break
             eta *= 0.5
-        rho, value = cand, cand_value
+        rho, value, grad = cand, cand_value, cand_grad
         eta = min(eta * 2.0, 1.0)
         if float(rho.min()) < BOUNDARY_TOL:
-            grad = gamma_gradient(spec, t, rho)
-            proj = grad - grad.mean()
-            return LocalizationResult(rho, value, float(np.linalg.norm(proj)), it, False, True)
+            return LocalizationResult(rho, value, float(np.linalg.norm(grad - grad.mean())), it, False, True)
     raise ConvergenceError(f"mirror descent did not reach tol={tol} in {max_iter} iterations")
 
 

@@ -20,7 +20,7 @@ from multicoag import (
     sigma,
     solve_detail,
 )
-from multicoag import analytic
+from multicoag import analytic, localization
 from conftest import random_interior_simplex
 
 
@@ -311,3 +311,74 @@ def test_localization_result_json(stoch_spec):
     d = res.to_dict()
     assert set(d) >= {"rho_star", "gamma_min", "grad_norm"}
     assert isinstance(d["rho_star"], list)
+
+
+def _seeded_m4(seed: int) -> ModelSpec:
+    """An irreducible m=4 instance with every A_kl and p_i > 0, drawn as the benchmark's m4 is."""
+    rng = np.random.default_rng([seed, 4])
+    b = rng.uniform(0.2, 1.5, size=(4, 4))
+    return ModelSpec(m=4, A=(b + b.T) / 2.0, p=rng.dirichlet(np.full(4, 3.0)))
+
+
+@pytest.mark.parametrize("instance", ["asym2_spec", "m3_spec", 1501, 1, 2, 3],
+                         ids=lambda i: i if isinstance(i, str) else f"seeded m=4 ({i})")
+def test_minimizer_reports_the_public_values_at_rho_star(request, instance):
+    # the minimizer evaluates each iterate itself: its report must still be, bit for bit,
+    # what gamma and gamma_gradient return at rho_star (the m4_spec fixture has an empty
+    # type, which localization refuses, so seeded m=4 instances stand in for it)
+    spec = request.getfixturevalue(instance) if isinstance(instance, str) else _seeded_m4(instance)
+    tc = gelation_time(spec).T_c
+    for frac in (0.1, 0.3, 0.5, 0.7, 0.9, 0.99):
+        res = minimize_gamma(spec, frac * tc)
+        assert res.converged and not res.boundary_minimum
+        assert res.gamma_min == gamma(spec, frac * tc, res.rho_star)
+        g = gamma_gradient(spec, frac * tc, res.rho_star)
+        assert res.grad_norm == np.linalg.norm(g - g.mean())
+
+
+def test_minimize_gamma_checks_no_point_inside_its_loop(monkeypatch, m3_spec):
+    # each mirror step once went through gamma and gamma_gradient, which re-check their
+    # point: 553 iterations here made over 2,000 checks
+    calls = []
+    check = localization.as_simplex_point
+    monkeypatch.setattr(localization, "as_simplex_point",
+                        lambda *a, **k: calls.append(1) or check(*a, **k))
+    res = minimize_gamma(m3_spec, 0.5 * gelation_time(m3_spec).T_c)
+    assert res.converged and res.iterations > 100
+    assert len(calls) <= 1
+
+
+def _hessian(spec, rho):
+    """Closed-form Hessian of Gamma (no t in it): with M = diag(p) A, sigma = M rho and
+    D = M / sigma[:, None], H = diag(1/rho) - D - D^T + M^T diag(rho/sigma^2) M."""
+    M = spec.p[:, None] * spec.A
+    s = M @ rho
+    D = M / s[:, None]
+    return np.diag(1.0 / rho) - D - D.T + M.T @ (M * (rho / s**2)[:, None])
+
+
+def test_hessian_matches_central_differences_of_the_gradient(m3_spec, asym2_spec, two_type_spec):
+    """u^T H v against central differences (h = 1e-6) of gamma_gradient along v, for the
+    tangent directions u = e_j - e_m and v = e_k - e_m, at 0.6 T_c.
+
+    Measured worst relative gap: 2.6e-9 (seeded m=4), against the bound 1e-6 (margin 390x).
+    With D scaled by columns instead, M / sigma[None, :], v^T H v reads 1.931 against 2.121
+    on two_type at rho = (0.3, 0.7), v = e_0 - e_1, so an index slip shows.
+    """
+    rng = np.random.default_rng(41)
+    h = 1e-6
+    worst = 0.0
+    for spec in (asym2_spec, m3_spec, _seeded_m4(1501), two_type_spec):
+        t = 0.6 * gelation_time(spec).T_c
+        last = np.eye(spec.m)[-1]
+        for _ in range(20):
+            rho = random_interior_simplex(rng, spec.m, floor=0.05)
+            H = _hessian(spec, rho)
+            for k in range(spec.m - 1):
+                v = np.eye(spec.m)[k] - last
+                fd = (gamma_gradient(spec, t, rho + h * v) - gamma_gradient(spec, t, rho - h * v)) / (2 * h)
+                for j in range(spec.m - 1):
+                    u = np.eye(spec.m)[j] - last
+                    exact = u @ H @ v
+                    worst = max(worst, abs(u @ fd - exact) / abs(exact))
+    assert worst <= 1e-6
