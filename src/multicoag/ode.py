@@ -9,16 +9,17 @@ the gain is one convolution: with A = V diag(lam) V^T it equals
 0.5 * sum_r lam_r (u_r * u_r)(n), where u_r(n) = (n . v_r) w_n.
 
 The convolution is one two-dimensional FFT per window.  A cell n sits at
-(a . n' mod Q, |n|), with n' = (n_1, ..., n_{m-1}): both coordinates add
+(|n|, a . n' mod Q), with n' = (n_1, ..., n_{m-1}): both coordinates add
 like n does.  The size axis |n| has circular length L >= 2 N_max, and
 (Q, a) is the smallest 7-smooth Q with a multiplier a = (1, c, c^2, ...)
 mod Q, c < 512, for which n' -> a . n' mod Q is one-to-one on the simplex
 {n' >= 0, |n'| <= N_max}.  No pair aliases onto a window cell: a sum that
 wraps on the size axis has |k| + |l| = |n| + L > 2 N_max, and a pair with
 |k| + |l| = |n| has k' + l' and n' both in the simplex, where the map is
-one-to-one.  For m <= 2 the map is the plain axis; for m = 3 at
-N_max = 20 the grid is 350 x 40 points, against 21 x 21 x 40 with one axis
-per coordinate and the (2 N_max)^3 of a plain box.
+one-to-one.  Only the sizes 1..N_max hold input and are read back, so the
+real FFTs run along the modular axis on those rows alone.  For m <= 2 the
+map is the plain axis; for m = 3 at N_max = 20 the grid is 40 x 350 points,
+against 40 x 21 x 21 with one axis per coordinate and the (2 N_max)^3 of a plain box.
 
 The FFT leaves rounding noise of about 1e-16 times the largest term in
 every cell, so cells where the pair sum is exactly zero are masked, once
@@ -99,10 +100,10 @@ def _fft_length(n: int) -> int:
 
 
 def _quadratic_form(M: np.ndarray, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nonzero eigenvalues lam_r of the symmetric M and the projections coords @ v_r."""
+    """Nonzero eigenvalues lam_r of the symmetric M and the rows coords @ v_r, contiguous."""
     lam, V = np.linalg.eigh(M)
     keep = np.abs(lam) > len(lam) * np.finfo(float).eps * np.abs(lam).max()
-    return lam[keep], (coords @ V[:, keep]).T
+    return lam[keep], np.ascontiguousarray((coords @ V[:, keep]).T)
 
 
 @lru_cache(maxsize=None)
@@ -148,45 +149,51 @@ def _modular_axis(m: int, n_max: int) -> tuple[int, tuple[int, ...]]:
 class _Convolution:
     """sum_r lam_r (u_r * u_r) on one window, for u of up to `rank` ranks, by one FFT.
 
-    The grid is (rank, Q, L): a cell n sits at (a . n' mod Q, |n|), with
-    n' = (n_1, ..., n_{m-1}) and (Q, a) from _modular_axis, and the size axis
-    is the contiguous real-FFT axis, of circular length L = _fft_length(2 n_max).
+    A cell n sits at (|n|, a . n' mod Q) on a circular (L, Q) grid, with
+    n' = (n_1, ..., n_{m-1}), (Q, a) from _modular_axis and L = _fft_length(2 n_max).
     Both coordinates add like n does, so a pair (k, l) lands on the point of
     k + l.  No pair aliases onto a window cell n: a pair with n_max < |k| + |l|
     <= 2 n_max <= L lands on a size that is 0 or above n_max, and a pair with
     |k| + |l| = |n| has k' + l' and n' both in the simplex |n'| <= n_max, where
     the map is one-to-one, so it lands on n only if k + l = n.  The same holds
-    for the support count behind the zero mask.  Buffers and the cell index are
-    built here once, so a call only scatters, transforms in place and
-    multiplies; a call with r ranks works on the first r slabs.  Not safe for
-    concurrent calls: each trajectory owns its operator and calls it in turn.
+    for the support count behind the zero mask.  Only the rows |n| = 1..n_max
+    hold input and only they are read back, so the real FFT runs along the
+    modular axis on those rows alone.  It writes them into a spectrum whose
+    sizes 0 and n_max + 1..L - 1 stay zero, as no call writes there: the complex
+    FFT along the size axis reads it into a second buffer.  The inverse mirrors
+    both steps, the real one on the rows the window reads.  Buffers and the cell
+    index are built here once; a call with r ranks works on the first r slabs.  Not
+    safe for concurrent calls: each trajectory owns its operator and calls it in turn.
     """
 
     def __init__(self, m: int, n_max: int, rank: int):
         states = _window_array(m, n_max)
         q, a = _modular_axis(m, n_max)
-        self.size = _fft_length(2 * n_max)
         key = states[:, :-1] @ np.array(a, dtype=np.int64) % q
-        self.index = key * self.size + states.sum(axis=1)  # flat (key, |n|) on a (q, size) grid
-        self.grid = np.zeros((rank, q, self.size))
+        self.index = (states.sum(axis=1) - 1) * q + key  # flat (|n| - 1, key) on an (n_max, q) grid
+        self.grid = np.zeros((rank, n_max, q))
         self.flat = self.grid.reshape(-1)
         # every rank's cells, flat and rank by rank: one 1-D scatter is faster than a 2-D one
         self.scatter = (np.arange(rank)[:, None] * self.grid[0].size + self.index).ravel()
-        self.spectrum = np.empty((rank, q, self.size // 2 + 1), complex)
+        # (key frequency, |n|), with the size axis contiguous for its complex FFT
+        self.spectrum = np.zeros((rank, q // 2 + 1, _fft_length(2 * n_max)), complex)
+        self.rows = self.spectrum[:, :, 1:n_max + 1].transpose(0, 2, 1)  # all that is ever written
+        self.freq = np.empty_like(self.spectrum)
         self.total = np.empty(self.spectrum.shape[1:], complex)
-        self.out = np.empty((q, self.size))
+        self.out = np.empty((n_max, q))
+        self.inverse = self.total[:, 1:n_max + 1].T  # the sizes the window reads
 
     def __call__(self, lam: np.ndarray, u: np.ndarray) -> np.ndarray:
         """The sum on the window cells, for u of shape (r, cells), r = len(lam) <= rank."""
-        r = len(lam)
+        r, q = len(lam), self.out.shape[1]
         self.flat[self.scatter[:r * len(self.index)]] = u.reshape(-1)
-        x = np.fft.rfft(self.grid[:r], n=self.size, axis=-1, out=self.spectrum[:r])
-        np.fft.fft(x, axis=1, out=x)  # along the modular axis; exact at length 1 (m = 1)
+        np.fft.rfft(self.grid[:r], n=q, axis=-1, out=self.rows[:r])  # exact at length 1 (m = 1)
+        x = np.fft.fft(self.spectrum[:r], axis=-1, out=self.freq[:r])
         x *= x
-        x *= lam[:, None, None]
-        np.sum(x, axis=0, out=self.total)
-        np.fft.ifft(self.total, axis=0, out=self.total)
-        np.fft.irfft(self.total, n=self.size, axis=-1, out=self.out)
+        # the ranks' weighted sum in one real product, over the (re, im) pairs
+        np.dot(lam, x.view(float).reshape(r, -1), out=self.total.view(float).reshape(-1))
+        np.fft.ifft(self.total, axis=-1, out=self.total)
+        np.fft.irfft(self.inverse, n=q, axis=-1, out=self.out)
         return self.out.reshape(-1)[self.index]
 
 
@@ -210,7 +217,10 @@ class _WindowOperator:
         if not np.all(np.isfinite(self.loss_reduced)):
             size = self.sizes[~np.isfinite(self.loss_reduced)].min()
             raise NumericalBreakdownError(f"the loss rate n . (A p) overflows from |n| = {size:.0f} on")
-        self.gain_lam, self.gain_proj = _quadratic_form(spec.A, self.comp)
+        # the gain's 1/2 goes into lam_r: a power of two, so eigh scales it exactly
+        self.gain_lam, self.gain_proj = _quadratic_form(0.5 * spec.A, self.comp)
+        # mw = n-moment and q = |n| n-moment of w, in one product
+        self.moments = np.vstack([self.comp.T, self.comp.T * self.sizes])
         self.pattern_lam, pattern_proj = _quadratic_form(
             (spec.A > 0.0).astype(float), (self.comp > 0.0).astype(float))
         # one set of buffers for the gain and the zero mask, sized for the larger rank
@@ -224,13 +234,13 @@ class _WindowOperator:
     def __call__(self, w: np.ndarray) -> tuple[np.ndarray, float]:
         """Returns (dw/dt, outbound mass flux rate) at w, which must lie inside the
         operator's support; nothing is kept between calls but the FFT buffers."""
-        gain = 0.5 * self.convolution(self.gain_lam, self.gain_proj * w)
-        gain[self.zeros] = 0.0
-        mw = self.comp.T @ w
-        loss_rate = self.comp @ (self.spec.A @ mw) if self.form == "full" else self.loss_reduced
+        gain = self.convolution(self.gain_lam, self.gain_proj * w)
+        np.copyto(gain, 0.0, where=self.zeros)
+        mw, q = (self.moments @ w).reshape(2, -1)
+        a_mw = self.spec.A @ mw
+        loss_rate = self.comp @ a_mw if self.form == "full" else self.loss_reduced
         # total merge mass throughput minus the part landing inside the window
-        q = self.comp.T @ (w * self.sizes)
-        flux = float(q @ (self.spec.A @ mw) - self.sizes @ gain)
+        flux = float(q @ a_mw - self.sizes @ gain)
         return gain - w * loss_rate, flux
 
 
@@ -299,9 +309,9 @@ def _step(rhs, w: np.ndarray, acc: float, h: float):
     d2, f2 = rhs(w + 0.5 * h * d1)
     d3, f3 = rhs(w + 0.5 * h * d2)
     d4, f4 = rhs(w + h * d3)
-    w_new = w + (h / 6.0) * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
-    acc_new = acc + (h / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
-    return w_new, acc_new
+    # each term is scaled first: with every d near -1e308, d1 + 2 d2 + 2 d3 + d4 overflows
+    a, b = h / 6.0, h / 3.0
+    return w + (a * d1 + b * d2 + b * d3 + a * d4), acc + (a * f1 + b * f2 + b * f3 + a * f4)
 
 
 def _check_state(w: np.ndarray, clipped: np.ndarray) -> None:

@@ -111,7 +111,7 @@ SOLVE_CSV_DIGESTS = {
     "analytic at t = 0": (["demo", "--t", "0", "--nmax", "40"],
                           "ef48785586c915cf859bf19b5d4e84a70d95f60ce7f247bae9d406b5a990652e"),
     "ode": (["demo", "--t", "0.3476850412418142", "--nmax", "12", "--method", "ode"],
-            "d7f7b511791dc1660c008f8e4c47246660589ebc09ba1b8615a073d85c42d30d"),
+            "83ccaea76905d62dba1f445c4432061c26c42e931c7a93a934f4ba3a640e6337"),
     "mc": (["bip", "--t", "1.0", "--nmax", "8", "--method", "mc", "--replicates", "20000",
             "--seed", "7"], "eaf2c60e520e1f5a7dc3e3d29c8f3f8371580b3d661a211b1a53ee6ec2436f64"),
 }
@@ -489,18 +489,44 @@ def test_kernel_near_the_float_range_gives_no_nan(tmp_path, capsys, model, args,
 def test_ode_overflow_inside_a_step_prints_one_error_line(tmp_path):
     # a finite loss rate whose RK4 stages overflow once printed numpy's RuntimeWarnings
     # (from irfft and the state update) before the error line; run in a fresh interpreter,
-    # where warnings reach the real stderr
+    # where warnings reach the real stderr.  A step with h (A p) = 100 overshoots to a
+    # negative stage state, whose loss term overflows
     spec = tmp_path / "model.json"
     spec.write_text(json.dumps(HUGE_1))
     src = os.path.dirname(os.path.dirname(multicoag.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "multicoag", "solve", str(spec), "--method", "ode",
-                           "--t", "1e-310", "--nmax", "1", "--dt", "1e-311",
+                           "--t", "1e-306", "--nmax", "1", "--dt", "1e-306",
                            "--out", str(tmp_path / "out.csv")],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 5
     assert proc.stderr.startswith("error: numerical failure: ") and len(proc.stderr.splitlines()) == 1
     assert proc.stdout == "" and not (tmp_path / "out.csv").exists()
+
+
+def test_ode_on_a_kernel_near_the_float_range_matches_analytic(tmp_path, capsys):
+    # each RK4 stage is about -1e308 here: their weighted sum once overflowed before the
+    # h/6 scaling and exited 5, where the exact route writes w_1 = exp(-0.01)
+    spec = tmp_path / "model.json"
+    spec.write_text(json.dumps(HUGE_1))
+    common = [str(spec), "--t", "1e-310", "--nmax", "1"]
+    written = {}
+    for method in ("analytic", "ode"):
+        out = tmp_path / f"{method}.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["solve", *common, "--method", method, "--dt", "1e-311",
+                         "--out", str(out)]) == 0
+        written[method] = float(list(csv.reader(out.read_text().splitlines()))[1][-1])
+    assert written["analytic"] == pytest.approx(math.exp(-0.01), rel=1e-15)
+    assert abs(written["ode"] - written["analytic"]) <= 1e-6  # criterion 02's tolerance
+    summary = json.loads((tmp_path / "ode.csv.manifest.json").read_text())["summary"]
+    assert 0.0 < summary["flux_out"] <= summary["deficit"] + 1e-12
+    # one size further the loss rate itself overflows, which the operator reports
+    capsys.readouterr()
+    assert main(["solve", str(spec), "--t", "1e-310", "--nmax", "2", "--method", "ode",
+                 "--dt", "1e-311", "--out", str(tmp_path / "two.csv")]) == 5
+    assert capsys.readouterr().err.startswith("error: numerical failure: the loss rate")
 
 
 @pytest.mark.skipif(shutil.which("multicoag") is None,

@@ -19,8 +19,10 @@ from multicoag import (
     minimize_gamma,
     sigma,
     solve_detail,
+    solve_window,
 )
 from multicoag import analytic, localization
+from multicoag.model import _window_array
 from conftest import random_interior_simplex
 
 
@@ -382,3 +384,59 @@ def test_hessian_matches_central_differences_of_the_gradient(m3_spec, asym2_spec
                     exact = u @ H @ v
                     worst = max(worst, abs(u @ fd - exact) / abs(exact))
     assert worst <= 1e-6
+
+
+def _shell_moments(spec, t, n):
+    """Mean and covariance of n/|n| over the shell |n| = N of the exact window, each
+    composition weighted by w_n.  The shell's rows go through the batch evaluator
+    that solve_window runs on the whole window, row by row."""
+    comps = _window_array(spec.m, n)
+    comps = comps[comps.sum(axis=1) == n]
+    log_w, _ = analytic._solve_rows(spec, t, comps)
+    weight = np.exp(log_w - log_w.max())
+    weight /= weight.sum()
+    x = comps / n
+    mean = weight @ x
+    return mean, (x - mean).T @ ((x - mean) * weight[:, None])
+
+
+@pytest.mark.parametrize("name, sizes, c", [("asym2_spec", (25, 50, 100, 200), 0.5),
+                                            ("m3_spec", (30, 60, 120), 1.5)])
+def test_shells_localize_along_the_minimizer(request, name, sizes, c):
+    """The localization law on exact shells |n| = N, at 0.5 and 0.9 T_c.
+
+    The shell mean tends to rho* as O(1/N): N |mu_N - rho*|_inf stays flat, measured
+    0.0423-0.0474 on demo and 0.327-0.414 on m3, so the largest over the smallest
+    is at most 1.023, against the bound 1.05.  The shell covariance tends to
+    U (U^T H U)^-1 U^T / N, with U a tangent basis of the simplex: the ratio
+    N tr Cov(n/N) / tr(U (U^T H U)^-1 U^T) is within c/N of 1, measured
+    N |ratio - 1| = 0.301-0.308 on demo (c = 0.5) and 0.708-0.956 on m3 (c = 1.5).
+    An H with D's row and column scaling swapped reads 1.20-1.23 on demo, far outside.
+    """
+    spec = request.getfixturevalue(name)
+    tc = gelation_time(spec).T_c
+    # the shell's rows are the last of solve_window's graded window, bit for bit
+    n = sizes[0]
+    comps = _window_array(spec.m, n)
+    log_w, _ = analytic._solve_rows(spec, 0.5 * tc, comps[comps.sum(axis=1) == n])
+    tail = solve_window(spec, 0.5 * tc, n).entries.array[-len(log_w):]
+    assert tail.tobytes() == np.exp(log_w).tobytes()
+    U = np.vstack([np.eye(spec.m - 1), -np.ones(spec.m - 1)])
+    for frac in (0.5, 0.9):
+        t = frac * tc
+        rho = minimize_gamma(spec, t).rho_star
+        H = _hessian(spec, rho)
+        predicted = np.trace(U @ np.linalg.solve(U.T @ H @ U, U.T))
+        bias, ratio = [], []
+        for n in sizes:
+            mean, cov = _shell_moments(spec, t, n)
+            bias.append(n * np.abs(mean - rho).max())
+            ratio.append(n * np.trace(cov) / predicted)
+        assert max(bias) / min(bias) <= 1.05, bias
+        assert all(abs(r - 1.0) <= c / n for r, n in zip(ratio, sizes)), ratio
+        if spec.m == 2:  # the draft of H with D = M / sigma[None, :] fails the same bound
+            M = spec.p[:, None] * spec.A
+            D = M / (M @ rho)[None, :]
+            swapped = np.diag(1.0 / rho) - D - D.T + M.T @ (M * (rho / (M @ rho)**2)[:, None])
+            wrong = np.trace(U @ np.linalg.solve(U.T @ swapped @ U, U.T))
+            assert abs(ratio[-1] * predicted / wrong - 1.0) > c / sizes[-1]

@@ -58,49 +58,61 @@ def pair_sum_derivative(spec, dist, window, form):
 
 
 # Reference for ode._Convolution: the convolution before the modular axis, with
-# one circular axis per composition coordinate, kept verbatim but for working on
-# the first len(lam) ranks of its buffers, as ode._Convolution does.  The modular axis
-# must give the same sums: bit for bit for m <= 2, where its grid is this one,
+# one circular axis per composition coordinate, changed only as ode._Convolution
+# was: it works on the first len(lam) ranks of its buffers, and it transforms the
+# populated size rows alone, with the same transform order and rank sum.  The modular
+# axis must give the same sums: bit for bit for m <= 2, where its grid is this one,
 # and within the pair-sum bound for m >= 3.
 class GradedBoxConvolution:
-    """sum_r lam_r (u_r * u_r) on one window, for u of one rank, by one FFT.
+    """sum_r lam_r (u_r * u_r) on one window, for u of up to `rank` ranks, by one FFT.
 
-    The grid is in graded coordinates (n_1, ..., n_{m-1}, |n|): the size axis
-    is the contiguous real-FFT axis, of circular length _fft_length(2 n_max),
-    and every other axis has length _fft_length(n_max + 1).  The buffers, the
-    views the inverse transforms work on and both cell indices are built here
-    once, so a call only scatters, transforms in place and multiplies.  Not
-    safe for concurrent calls: the owner serializes them.
+    The grid is in graded coordinates (|n|, n_1, ..., n_{m-1}): the size axis has
+    circular length _fft_length(2 n_max), every other axis has length
+    _fft_length(n_max + 1), and m = 1 has one unit axis in their place.  Only the
+    size rows 1..n_max are stored: the real FFT runs along the last coordinate on
+    those rows, into a spectrum whose size axis is last and whose other sizes stay
+    0, then the complex FFTs along the size axis and the other coordinates.  The
+    inverse mirrors them and cuts each axis it has inverted to the cells the window
+    reads.  Buffers, views and both cell indices are built here once.  Not safe for
+    concurrent calls: the owner serializes them.
     """
 
     def __init__(self, m: int, n_max: int, rank: int):
         states = _window_array(m, n_max)
-        graded = np.column_stack([states[:, :-1], states.sum(axis=1)]).T
-        side, self.size = n_max + 1, _fft_length(2 * n_max)
-        self.grid = np.zeros((rank,) + (_fft_length(side),) * (m - 1) + (self.size,))
+        coords = states[:, :-1] if m > 1 else np.zeros((len(states), 1), dtype=np.int64)
+        graded = np.column_stack([states.sum(axis=1) - 1, coords]).T
+        axes = (_fft_length(n_max + 1),) * (m - 1) or (1,)
+        self.side = axes[-1]
+        self.grid = np.zeros((rank, n_max) + axes)
         self.cells = self.grid.reshape(rank, -1)
         self.scatter = np.ravel_multi_index(graded, self.grid.shape[1:])
-        self.spectrum = np.empty(self.grid.shape[:-1] + (self.size // 2 + 1,), complex)
-        self.lam_shape = (rank,) + (1,) * m
+        # (n_1, ..., n_{m-2}, frequency of n_{m-1}, |n|)
+        self.spectrum = np.zeros((rank,) + axes[:-1] + (self.side // 2 + 1, _fft_length(2 * n_max)),
+                                 complex)
+        self.rows = np.moveaxis(self.spectrum[..., 1:n_max + 1], -1, 1)
+        self.freq = np.empty_like(self.spectrum)
         self.total = np.empty(self.spectrum.shape[1:], complex)
-        # the sum cut to the cells n_i <= n_max on the axes inverted before `axis`
-        self.inverse = [self.total[(slice(0, side),) * axis] for axis in range(m)]
-        self.out = np.empty(self.inverse[-1].shape[:-1] + (self.size,))
+        # the sum cut to |n| = 1..n_max, and to n_i <= n_max on the first k coordinates
+        cut = self.total[..., 1:n_max + 1]
+        self.inverse = [cut[(slice(0, n_max + 1),) * k] for k in range(len(axes))]
+        self.last = np.moveaxis(self.inverse[-1], -1, 0)
+        self.out = np.empty(self.last.shape[:-1] + (self.side,))
         self.gather = np.ravel_multi_index(graded, self.out.shape)
 
     def __call__(self, lam: np.ndarray, u: np.ndarray) -> np.ndarray:
         """The sum on the window cells, for u of shape (r, cells), r = len(lam) <= rank."""
         r = len(lam)
         self.cells[:r, self.scatter] = u
-        x = np.fft.rfft(self.grid[:r], n=self.size, axis=-1, out=self.spectrum[:r])
-        for axis in range(1, x.ndim - 1):
+        np.fft.rfft(self.grid[:r], n=self.side, axis=-1, out=self.rows[:r])
+        x = np.fft.fft(self.spectrum[:r], axis=-1, out=self.freq[:r])
+        for axis in range(1, x.ndim - 2):
             np.fft.fft(x, axis=axis, out=x)
         x *= x
-        x *= lam.reshape((r,) + self.lam_shape[1:])
-        np.sum(x, axis=0, out=self.total)
+        np.dot(lam, x.view(float).reshape(r, -1), out=self.total.view(float).reshape(-1))
+        np.fft.ifft(self.total, axis=-1, out=self.total)
         for axis, g in enumerate(self.inverse[:-1]):
             np.fft.ifft(g, axis=axis, out=g)
-        np.fft.irfft(self.inverse[-1], n=self.size, axis=-1, out=self.out)
+        np.fft.irfft(self.last, n=self.side, axis=-1, out=self.out)
         return self.out.reshape(-1)[self.gather]
 
 
@@ -157,28 +169,29 @@ def is_7_smooth(n):
 
 @pytest.mark.parametrize("m, limit", [(1, 25), (2, 25), (3, 25), (4, 10), (5, 5)])
 def test_modular_axis_never_aliases(m, limit):
-    """Every window cell has its own grid point, and no other composition a pair
-    can form (2 <= |sigma| <= 2 n_max) lands on it."""
+    """Every window cell has its own point on the circular (L, Q) grid, and no other
+    composition a pair can form (2 <= |sigma| <= 2 n_max) lands on it."""
     for n_max in range(1, limit + 1):
         conv = ode._Convolution(m, n_max, 1)
         q, a = ode._modular_axis(m, n_max)
         size = _fft_length(2 * n_max)
-        assert conv.grid.shape == (1, q, size) and is_7_smooth(q) and len(a) == m - 1
+        assert conv.grid.shape == (1, n_max, q) and conv.spectrum.shape == (1, q // 2 + 1, size)
+        assert is_7_smooth(q) and len(a) == m - 1
         if m <= 2:  # the plain axis, so the grid is the one-axis-per-coordinate grid
             assert (q, a) == ((1, ()) if m == 1 else (_fft_length(n_max + 1), (1,)))
 
-        def index(states):
+        def point(states):  # flat (|n| mod L, key) on the circular (L, q) grid
             key = states[:, :-1] @ np.array(a, dtype=np.int64) % q
-            return key * size + states.sum(axis=1) % size
+            return states.sum(axis=1) % size * q + key
 
         window = _window_array(m, n_max)
-        assert np.array_equal(conv.index, index(window))
+        assert np.array_equal(conv.index, point(window) - q)  # the rows kept start at |n| = 1
         assert len(np.unique(conv.index)) == len(window)
         sigma = _window_array(m, 2 * n_max)
         sigma = sigma[sigma.sum(axis=1) >= 2]
-        cell = np.full(q * size, -1)
-        cell[conv.index] = np.arange(len(window))
-        hit = cell[index(sigma)]
+        cell = np.full(size * q, -1)
+        cell[point(window)] = np.arange(len(window))
+        hit = cell[point(sigma)]
         assert np.array_equal(window[hit[hit >= 0]], sigma[hit >= 0]), (m, n_max)
 
 
@@ -266,6 +279,24 @@ def test_one_operator_per_window_serves_both_forms():
     op = ode._WindowOperator(LOW_RANK_SPEC, 8, "reduced")
     assert (len(op.gain_lam), len(op.pattern_lam)) == (2, 3)
     assert op.convolution.grid.shape[0] == op.convolution.spectrum.shape[0] == 3
+
+
+@pytest.mark.parametrize("name, n_max", [("m1_spec", 12), ("asym2_spec", 10), ("m3_spec", 8),
+                                         ("m4_spec", 5), ("low_rank", 8)])
+def test_pruned_buffers_stay_clean(request, name, n_max):
+    """Only the sizes 1..n_max of the spectrum are ever written, so one call leaves
+    nothing that the next reads: size 0 and the sizes above n_max stay exactly 0,
+    and a second state gets a fresh operator's bytes."""
+    spec = LOW_RANK_SPEC if name == "low_rank" else request.getfixturevalue(name)
+    rng = np.random.default_rng(7)
+    first, second = rng.random((2, len(_window_array(spec.m, n_max))))
+    op = ode._WindowOperator(spec, n_max, "full")
+    spectrum = op.convolution.spectrum
+    for w in (first, second):
+        got, flux = op(w)
+        assert not spectrum[..., 0].any() and not spectrum[..., n_max + 1:].any()
+    want, want_flux = ode._WindowOperator(spec, n_max, "full")(second)
+    assert got.tobytes() == want.tobytes() and flux == want_flux
 
 
 def test_calls_do_not_keep_the_spec_alive():
