@@ -22,18 +22,20 @@ release that changes its Poisson sampler.
 
 Each group owns its buffers, in the integer type of _count_type, and hands
 them to a finish callback: sample_progeny_batch copies them into its int64
-result, estimate_pmf reduces them in the worker to the rows it tabulates,
-narrowed, and the censored count; the pmf is one lexicographic sort of those.
+result, and estimate_pmf counts them in the worker into one histogram over
+the window's cells, one group at a time, and returns their censored count.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SpecValidationError
-from .model import Composition, ModelSpec, _count, _root_type, _time, _whole_number, as_composition
+from .model import (Composition, ModelSpec, WindowMasses, _cells, _count, _rank, _root_type, _time,
+                    _whole_number, as_composition)
 
 BLOCK_SIZE = 4096
 GROUP_BLOCKS = 4  # blocks advanced in lockstep by one call of _simulate_blocks
@@ -58,24 +60,25 @@ class McConfig:
 class McPmfEstimate:
     """Empirical pmf over uncensored replicates, with binomial standard errors.
 
-    pmf maps each observed composition with |n| <= n_max to (frequency, SE),
-    in lexicographic order; m is the number of types.
+    pmf holds the frequency and se the SE of every composition with
+    1 <= |n| <= n_max, in the window's order; a cell no replicate had reads
+    0.0 in both.  The window carries m and n_max.
     """
 
-    pmf: dict[Composition, tuple[float, float]]
+    pmf: WindowMasses
+    se: WindowMasses
     censoring_rate: float
     replicates: int
     n_uncensored: int
-    n_max: int
-    m: int
 
     def estimate(self, n: Composition) -> tuple[float, float]:
         """(frequency, SE) of cell n, (0.0, 0.0) when no replicate had it;
         SpecValidationError unless n is a composition with 1 <= |n| <= n_max."""
-        n = as_composition(n, self.m)
-        if not 1 <= sum(n) <= self.n_max:
-            raise SpecValidationError(f"cell {n} is outside the window 1 <= |n| <= {self.n_max}")
-        return self.pmf.get(n, (0.0, 0.0))
+        n = as_composition(n, self.pmf.m)
+        if not 1 <= sum(n) <= self.pmf.n_max:
+            raise SpecValidationError(f"cell {n} is outside the window 1 <= |n| <= {self.pmf.n_max}")
+        row = _rank(n)
+        return float(self.pmf.array[row]), float(self.se.array[row])
 
 
 def _resolve_root(spec: ModelSpec, root: int | str | None) -> int | str:
@@ -191,61 +194,37 @@ def sample_progeny_batch(spec: ModelSpec, t: float, root: int | str | None,
     return counts, censored
 
 
-def _narrow(rows: np.ndarray) -> np.ndarray:
-    """Nonnegative int rows (k x m) as C-ordered columns (m x k) of the narrowest
-    unsigned type that holds their largest entry (uint8 when there are none).
-
-    lexsort then reads each key contiguously, with no buffer of its own, and
-    numpy radix-sorts 8- and 16-bit keys, several times faster than int64.
-    """
-    return rows.T.astype(np.min_scalar_type(rows.max()) if len(rows) else np.uint8, order="C")
-
-
-def _tabulate(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct columns of cols (m x R), in lexicographic order with row 0
-    primary, as the rows of an array, and their multiplicities.
-
-    One lexsort and a scan for run boundaries.
-    """
-    if cols.shape[1] == 0:
-        return cols.T, np.zeros(0, dtype=np.int64)
-    cols = cols[:, np.lexsort(cols[::-1])]
-    starts = np.flatnonzero(np.r_[True, np.any(cols[:, 1:] != cols[:, :-1], axis=0)])
-    return cols[:, starts].T, np.diff(np.r_[starts, cols.shape[1]])
-
-
 def estimate_pmf(spec: ModelSpec, t: float, root: int | str | None, config: McConfig,
                  n_max: int, threads: int = 1) -> McPmfEstimate:
-    """Empirical total-progeny pmf over compositions with |n| <= n_max.
+    """Empirical total-progeny pmf over the window of compositions with |n| <= n_max.
 
     Censored replicates are excluded from the pmf and reported via the
     censoring rate (at a generous cap the censored fraction estimates the
-    survival probability past the critical time).  Each group is reduced in
-    its worker as it finishes, so the R x m count matrix never exists; the
-    result equals tabulating sample_progeny_batch's arrays.
+    survival probability past the critical time).  Each group is counted
+    into the window's cells in its worker as it finishes, so the R x m count
+    matrix never exists; the result equals tabulating sample_progeny_batch's
+    arrays.  A window too large to hold raises MemoryError before any draw.
     """
     n_max = _count("n_max", n_max)
     t, r, threads = _time("t", t), _resolve_root(spec, root), _count("threads", threads)
+    hist = np.zeros(_cells(spec.m, n_max), dtype=np.int64)
+    lock = threading.Lock()
 
-    def reduce(rows: slice, counts: np.ndarray, censored: np.ndarray) -> tuple[np.ndarray, int]:
+    def reduce(rows: slice, counts: np.ndarray, censored: np.ndarray) -> int:
         sizes = sum(counts.T)  # adding the m columns is several times faster than sum(axis=1)
-        return _narrow(counts[~censored & (sizes <= n_max)]), int(np.count_nonzero(censored))
+        with lock:  # one group at a time adds its counts and holds the ranking's int64 temporaries
+            kept = counts[~censored & (sizes <= n_max)].astype(np.int64)  # int32 products would wrap
+            np.add(hist, np.bincount(_rank(kept.T), minlength=len(hist)), out=hist)
+        return int(np.count_nonzero(censored))
 
-    groups = _run_groups(spec, t, r, config, threads, reduce)
-    n_censored = sum(c for _, c in groups)
-    rows, freq = _tabulate(np.concatenate([kept for kept, _ in groups], axis=1))
+    n_censored = sum(_run_groups(spec, t, r, config, threads, reduce))
     n_unc = config.replicates - n_censored
-    denom = max(n_unc, 1)  # with every replicate censored there are no rows to divide
-    est = freq / denom
-    se = np.sqrt(est * (1.0 - est) / denom)
-    pmf: dict[Composition, tuple[float, float]] = {
-        tuple(row): (e, s) for row, e, s in zip(rows.tolist(), est.tolist(), se.tolist())
-    }
+    denom = max(n_unc, 1)  # with every replicate censored every count is 0
+    freq = hist / denom
     return McPmfEstimate(
-        pmf=pmf,
+        pmf=WindowMasses(spec.m, n_max, freq),
+        se=WindowMasses(spec.m, n_max, np.sqrt(freq * (1.0 - freq) / denom)),
         censoring_rate=n_censored / config.replicates,
         replicates=config.replicates,
         n_uncensored=n_unc,
-        n_max=n_max,
-        m=spec.m,
     )

@@ -40,7 +40,7 @@ from .model import (
     WindowMasses,
     _count,
     _time,
-    compositions_up_to,
+    _window_array,
     mass_vector,
     scatter_window,
     validate,
@@ -189,7 +189,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         cfg = branching_mc.McConfig(replicates=args.replicates, population_cap=args.cap,
                                     seed=args.seed)
         est = branching_mc.estimate_pmf(spec, args.t, None, cfg, n_max=args.nmax)
-        rows = [(c, est.pmf.get(c, (0.0, 0.0))) for c in compositions_up_to(spec.m, args.nmax)]
+        rows = zip(est.pmf, zip(est.pmf.array.tolist(), est.se.array.tolist()))
         write_distribution_csv(args.out, spec.m, rows, value_headers=("freq", "se"))
         summary.update(replicates=args.replicates, population_cap=args.cap, seed=args.seed,
                        censoring_rate=est.censoring_rate)
@@ -255,20 +255,18 @@ def cmd_compare(args: argparse.Namespace) -> int:
     mc_cfg = branching_mc.McConfig(replicates=args.mc_replicates, population_cap=args.cap,
                                    seed=args.seed)
     est = branching_mc.estimate_pmf(spec, args.t, None, mc_cfg, n_max=args.nmax)
-    # mixture over root types: P(T = n) = |n| * w_n
-    worst_z = 0.0
-    worst_cell = None
-    checked = 0
-    for c, w in exact.items():
-        prob = sum(c) * w
-        if prob < args.mc_floor:
-            continue
-        checked += 1
-        freq, se = est.pmf.get(c, (0.0, 0.0))
-        se_eff = max(se, np.sqrt(prob * (1.0 - prob) / est.n_uncensored))
-        z = abs(freq - prob) / se_eff
-        if z > worst_z:
-            worst_z, worst_cell = z, c
+    # mixture over root types: P(T = n) = |n| * w_n; with every replicate censored no cell is checked
+    table = _window_array(spec.m, args.nmax)
+    prob = table.sum(axis=1) * exact.array
+    cells = np.flatnonzero((prob >= args.mc_floor) & (est.n_uncensored > 0))
+    prob = prob[cells]
+    dev = np.abs(est.pmf.array[cells] - prob)
+    se = np.maximum(est.se.array[cells], np.sqrt(prob * (1.0 - prob) / est.n_uncensored))
+    z = np.divide(dev, se, out=np.zeros_like(dev), where=dev > 0.0)  # 0 where freq = prob, even at se 0
+    worst_z, worst_cell, checked = 0.0, None, len(cells)
+    if z.any():  # the first worst cell in window order
+        worst = int(np.argmax(z))
+        worst_z, worst_cell = float(z[worst]), (*table[cells[worst]].tolist(),)
     mc_ok = checked > 0 and worst_z <= args.mc_sigma  # a check that covered no cell fails
 
     print(f"analytic vs ode : max |gap| = {gap_ode:.3e} over |n| <= {args.nmax} "
@@ -282,7 +280,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if not trunc_ok:
         print("attribution: truncation deficit, not method disagreement; grow nmax "
               "or move t away from the critical time")
-    if not checked:
+    if not est.n_uncensored:
+        print(f"attribution: every Monte Carlo replicate grew past --cap {args.cap}, so the check "
+              "covered nothing; raise --cap")
+    elif not checked:
         print(f"attribution: no cell reaches --mc-floor {args.mc_floor:g}, so the Monte Carlo "
               "check covered nothing; lower --mc-floor")
     print(f"verdict: {'PASS' if verdict else 'FAIL'}")

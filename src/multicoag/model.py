@@ -255,9 +255,19 @@ def _support_blocks(A: np.ndarray, support: list[int]) -> list[list[int]]:
     return blocks
 
 
+def _cells(m: int, n_max: int) -> int:
+    """The window's cell count C(n_max + m, m) - 1; MemoryError once m (cells + 1) reaches
+    2**63, past which no int64 table holds the window and _rank's products could wrap."""
+    cells = math.comb(n_max + m, m) - 1
+    if m * (cells + 1) >= 2**63:
+        raise MemoryError(f"the window m={m}, n_max={n_max} has more cells than int64 can index")
+    return cells
+
+
 @lru_cache(maxsize=32)
 def _window_array(m: int, n_max: int) -> np.ndarray:
     """The window's one table: its compositions in a read-only (cells, m) int array, by _rank."""
+    _cells(m, n_max)  # a window past int64 is refused before any array is built
     comps = np.arange(n_max + 1, dtype=np.int64)[:, None]
     for _ in range(m - 1):  # append every next part that keeps |n| <= n_max
         room = n_max + 1 - comps.sum(axis=1)
@@ -342,7 +352,7 @@ def scatter_window(m: int, n_max: int, entries: Mapping[Composition, float]) -> 
     bad = np.flatnonzero((size < 1) | (size > n_max) | (comps < 0).any(axis=1))
     if len(bad):
         raise SpecValidationError(f"composition {(*comps[bad[0]].tolist(),)} outside window n_max={n_max}")
-    out = np.zeros(math.comb(n_max + m, m) - 1)
+    out = np.zeros(_cells(m, n_max))
     out[_rank(comps.T)] = np.fromiter(entries.values(), dtype=float, count=len(entries))
     return out
 
@@ -357,7 +367,7 @@ class WindowMasses(Mapping):
 
     def __init__(self, m: int, n_max: int, values: np.ndarray):
         self.m, self.n_max = m, n_max = _count("m", m), _count("n_max", n_max)
-        if values.shape != (cells := math.comb(n_max + m, m) - 1,):
+        if values.shape != (cells := _cells(m, n_max),):
             raise SpecValidationError(f"need {cells} window values, got shape {values.shape}")
         values.flags.writeable = False  # the window takes the array over
         self.array = values

@@ -11,6 +11,7 @@ from multicoag import (
     McConfig,
     ModelSpec,
     SpecValidationError,
+    compositions_up_to,
     estimate_pmf,
     gelation_time,
     progeny_pmf,
@@ -153,9 +154,9 @@ def test_estimate_pmf_structural_zero(bip_spec):
 def test_estimate_pmf_single_replicate(m1_spec):
     est = estimate_pmf(m1_spec, 0.3, 0, McConfig(replicates=1, seed=4), n_max=50)
     assert est.n_uncensored == 1
-    [(cell, (freq, se))] = list(est.pmf.items())
-    assert freq == 1.0
-    assert se == 0.0
+    [cell] = np.flatnonzero(est.pmf.array)
+    assert est.pmf.array[cell] == 1.0
+    assert not est.se.array.any()
 
 
 def test_mixture_identity_random_roots(bip_spec):
@@ -322,6 +323,8 @@ def unique_rows_pmf(counts: np.ndarray, censored: np.ndarray,
 
 
 def _count_arrays():
+    # rows with |n| = 0 occur here but never in a sample, whose rows hold their root;
+    # the test gives them one
     rng = np.random.default_rng(5)
     yield "m1 n_max=200", rng.geometric(0.02, size=(5_000, 1)) - 1, rng.random(5_000) < 0.1, 200
     for m in (2, 3, 5):
@@ -330,14 +333,13 @@ def _count_arrays():
     yield "one replicate", np.array([[2, 1]]), np.array([False]), 5
     yield "all censored", rng.poisson(2.0, size=(50, 2)), np.ones(50, dtype=bool), 5
     yield "none within n_max", rng.poisson(2.0, size=(50, 2)) + 4, np.zeros(50, dtype=bool), 5
-    # the largest kept entry at each edge of the 8- and 16-bit types the sort narrows to
+    # entries near 2**8 and 2**16; an m=2 window of |n| <= 2 * 65536 would hold 8.6e9 cells,
+    # so the m=2 windows stop at 600 and drop the rows past it
     for top in (255, 256, 65535, 65536):
         for m in (1, 2):
             counts = rng.choice([0, 1, 2, top - 1, top], size=(600, m))
-            yield f"m{m} max {top}", counts, rng.random(600) < 0.1, m * top
-    yield "n_max 10**20", rng.poisson(3.0, size=(2_000, 3)), rng.random(2_000) < 0.1, 10**20
-    # three groups, the last one partial, whose kept rows narrow to uint8, to
-    # uint16 and to nothing (every row of the last one is past n_max)
+            yield f"m{m} max {top}", counts, rng.random(600) < 0.1, top if m == 1 else min(2 * top, 600)
+    # three groups, the last one partial, with every row of the last one past n_max
     group = branching_mc.GROUP_BLOCKS * BLOCK_SIZE
     counts = np.concatenate([rng.integers(0, 201, size=(group, 2)),
                              rng.integers(0, 301, size=(group, 2)),
@@ -359,17 +361,33 @@ def test_estimate_pmf_matches_unique_rows_oracle(case, monkeypatch):
     # reduction and the tabulation run as they do on sampled rows
     _, counts, censored, n_max = case
     counts = counts.astype(np.int64)
+    counts[counts.sum(axis=1) == 0, 0] = 1  # a sampled row holds at least its root
     m = counts.shape[1]
     spec = ModelSpec(m=m, A=np.ones((m, m)), p=np.full(m, 1.0 / m))
     monkeypatch.setattr(branching_mc, "_simulate_blocks", replay(counts, censored))
     want = unique_rows_pmf(counts, censored, n_max)
+    cells = compositions_up_to(m, n_max)
+    want_freq, want_se = (np.array([want.get(c, (0.0, 0.0))[k] for c in cells]) for k in (0, 1))
     for threads in (1, 2):
         est = estimate_pmf(spec, 0.5, 0, McConfig(replicates=len(counts)), n_max=n_max,
                            threads=threads)
-        assert list(est.pmf.items()) == list(want.items()), f"threads={threads}"
-        assert all(type(v) is int for n in est.pmf for v in n)
+        assert est.pmf.array.tobytes() == want_freq.tobytes(), f"threads={threads}"
+        assert est.se.array.tobytes() == want_se.tobytes(), f"threads={threads}"
         assert est.n_uncensored == int((~censored).sum())
         assert est.censoring_rate == float(censored.mean())
+    assert [est.estimate(c) for c in cells] == [want.get(c, (0.0, 0.0)) for c in cells]
+    assert all(type(v) is int for n in est.pmf for v in n)
+
+
+def test_estimate_pmf_refuses_a_window_it_cannot_hold(monkeypatch):
+    # a window of |n| <= 10**20 at m = 3 has 1.7e59 cells: refused before any draw
+    def sample(*args):
+        raise AssertionError("sampled before the window was checked")
+
+    monkeypatch.setattr(branching_mc, "_simulate_blocks", sample)
+    spec = ModelSpec(m=3, A=np.ones((3, 3)), p=np.full(3, 1.0 / 3))
+    with pytest.raises(MemoryError, match=r"^the window m=3, n_max=10{20} "):
+        estimate_pmf(spec, 0.5, 0, McConfig(replicates=2_000), n_max=10**20)
 
 
 def test_estimate_pmf_never_holds_the_count_matrix(m3_spec):
@@ -441,10 +459,10 @@ def test_estimate_rejects_a_malformed_cell(asym2_spec, cell):
     est = estimate_pmf(asym2_spec, 0.5, None, McConfig(replicates=5_000, seed=1), n_max=6)
     with pytest.raises(SpecValidationError):
         est.estimate(cell)
-    assert est.pmf.get(cell) is None  # the pmf itself is a plain dict, which just misses
+    assert est.pmf.get(cell) is None  # the pmf itself is a mapping, which just misses
 
 
 def test_estimate_reads_any_integer_sequence(asym2_spec):
     est = estimate_pmf(asym2_spec, 0.5, None, McConfig(replicates=5_000, seed=1), n_max=6)
-    assert est.estimate([1, 0]) == est.estimate((np.int64(1), 0)) == est.pmf[(1, 0)]
-    assert est.estimate((6, 0)) == est.pmf.get((6, 0), (0.0, 0.0))
+    assert est.estimate([1, 0]) == est.estimate((np.int64(1), 0)) == (est.pmf[1, 0], est.se[1, 0])
+    assert est.estimate((6, 0)) == (est.pmf[6, 0], est.se[6, 0])

@@ -144,8 +144,7 @@ def test_cli_runs_monte_carlo_without_a_thread_pool(spec_files, tmp_path, capsys
     est = branching_mc.estimate_pmf(ModelSpec.from_json(spec_files["bip"]), 0.7, None, cfg,
                                     n_max=8, threads=2)
     want = tmp_path / "want.csv"
-    write_distribution_csv(str(want), 2, [(c, est.pmf.get(c, (0.0, 0.0)))
-                                          for c in compositions_up_to(2, 8)],
+    write_distribution_csv(str(want), 2, [(c, est.estimate(c)) for c in compositions_up_to(2, 8)],
                            value_headers=("freq", "se"))
 
     def no_pool(*args, **kwargs):
@@ -277,6 +276,33 @@ def test_compare_fails_when_no_cell_reaches_the_floor(spec_files, capsys):
         assert out[-2] == (f"attribution: no cell reaches --mc-floor {floor}, so the Monte "
                            "Carlo check covered nothing; lower --mc-floor")
         assert out[-1] == "verdict: FAIL"
+
+
+def test_compare_fails_when_every_replicate_is_censored(spec_files, capsys):
+    # one replicate, past --cap 1 at both seeds, once ended in a ZeroDivisionError traceback
+    for seed in ("1", "2"):
+        code = main(["compare", spec_files["demo"], "--t", "0.35", "--nmax", "4",
+                     "--mc-replicates", "1", "--cap", "1", "--seed", seed])
+        captured = capsys.readouterr()
+        out = captured.out.splitlines()
+        assert code == 1 and captured.err == ""
+        assert " over 0 cells " in out[1] and out[1].endswith("-> FAIL")
+        assert out[3] == "mc censoring rate: 1.000e+00"
+        assert out[-2] == ("attribution: every Monte Carlo replicate grew past --cap 1, so the "
+                           "check covered nothing; raise --cap")
+        assert "lower --mc-floor" not in captured.out
+        assert out[-1] == "verdict: FAIL"
+
+
+def test_compare_reads_z_0_where_the_estimate_is_exact(spec_files, capsys):
+    # at t = 1e-300 every tree is a lone root, so freq = P = 1 with no spread: the z
+    # of that cell once divided 0 by 0 and ended in a ZeroDivisionError traceback
+    code = main(["compare", spec_files["m1"], "--t", "1e-300", "--nmax", "3",
+                 "--mc-replicates", "100"])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert out[1] == ("analytic vs mc  : worst |z| = 0.00 at None over 1 cells with P >= 0.001 "
+                      "(limit 4 SE) -> PASS")
 
 
 def test_compare_supercritical_exit_3(spec_files):
@@ -423,15 +449,18 @@ print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))
 
 
 def test_window_too_large_to_allocate_exits_2_with_one_line(tmp_path):
-    # an m3 window of |n| <= 10^6 needs TiBs: every method and compare once ended in
-    # numpy's _ArrayMemoryError traceback with exit 1, which reads as compare's FAIL
+    # an m3 window of |n| <= 10^6 needs TiBs, and one of |n| <= 10^20 more cells than int64
+    # indexes: every method and compare once ended in a traceback (numpy's _ArrayMemoryError,
+    # or a ValueError past int64) with exit 1, which reads as compare's FAIL
     spec = tmp_path / "m3.json"
     spec.write_text(json.dumps({"m": 3, "A": [[1.0, 2.0, 0.0], [2.0, 1.0, 1.0], [0.0, 1.0, 1.0]],
                                 "p": [0.3, 0.3, 0.4]}))
-    window = ["--t", "0.2", "--nmax", "1000000"]
-    argvs = [["solve", str(spec), *window, "--method", method, "--replicates", "1000",
-              "--out", str(tmp_path / f"{method}.csv")] for method in ("analytic", "ode", "mc")]
-    argvs.append(["compare", str(spec), *window, "--mc-replicates", "1000"])
+    argvs = []
+    for nmax in ("1000000", str(10**20)):
+        window = ["--t", "0.2", "--nmax", nmax]
+        argvs += [["solve", str(spec), *window, "--method", method, "--replicates", "1000",
+                   "--out", str(tmp_path / f"{method}.csv")] for method in ("analytic", "ode", "mc")]
+        argvs.append(["compare", str(spec), *window, "--mc-replicates", "1000"])
     src = os.path.dirname(os.path.dirname(multicoag.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", MEMORY_PROBE, json.dumps(argvs)],

@@ -86,7 +86,7 @@ N_MAX_ENTRY_POINTS = {
     "TruncationWindow": lambda spec, n: TruncationWindow(n).n_max,
     "solve_window": lambda spec, n: solve_window(spec, 0.3, n).entries.n_max,
     "estimate_pmf": lambda spec, n: estimate_pmf(spec, 0.3, None, McConfig(replicates=10),
-                                                 n_max=n).n_max,
+                                                 n_max=n).pmf.n_max,
     "compositions_up_to": lambda spec, n: len(compositions_up_to(1, n)),
 }
 
