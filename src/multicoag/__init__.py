@@ -16,17 +16,15 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
-# (module, its public names), in the order of __all__; each oracle sits next
+# (module, its public names), in the order of __all__; the oracle sits next
 # to the names it checks
 _PUBLIC = (
     ("errors", ("CoagulationError", "ConvergenceError", "CriticalityError", "HypothesisError",
                 "IntegrationError", "NumericalBreakdownError", "SpecValidationError")),
-    ("model", ("Composition", "ModelSpec", "SizeDistribution", "as_composition")),
-    ("oracles", ("borel_oracle",)),
-    ("model", ("compositions_up_to", "mass_vector", "validate", "write_distribution_csv")),
-    ("pgf", ("BlockCriticality", "FixedPointResult", "GelationReport", "gelation_time")),
-    ("oracles", ("pde_residual",)),
-    ("pgf", ("solve_fixed_point",)),
+    ("model", ("Composition", "ModelSpec", "SizeDistribution", "as_composition",
+               "compositions_up_to", "mass_vector", "validate", "write_distribution_csv")),
+    ("pgf", ("BlockCriticality", "FixedPointResult", "GelationReport", "gelation_time",
+             "solve_fixed_point")),
     ("analytic", ("ProgenyValue", "progeny_pmf")),
     ("oracles", ("series_oracle",)),
     ("analytic", ("solve", "solve_detail", "solve_window")),

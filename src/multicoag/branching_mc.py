@@ -39,7 +39,6 @@ from .model import (Composition, ModelSpec, WindowMasses, _cells, _count, _rank,
 
 BLOCK_SIZE = 4096
 GROUP_BLOCKS = 4  # blocks advanced in lockstep by one call of _simulate_blocks
-RANDOM_ROOT = "random"
 
 
 @dataclass(frozen=True)
@@ -81,16 +80,13 @@ class McPmfEstimate:
         return float(self.pmf.array[row]), float(self.se.array[row])
 
 
-def _resolve_root(spec: ModelSpec, root: int | str | None) -> int | str:
-    """RANDOM_ROOT for None or RANDOM_ROOT (the root type drawn from p), else the
-    root type as model._root_type reads it."""
-    if root is None or (isinstance(root, str) and root == RANDOM_ROOT):
-        return RANDOM_ROOT
+def _resolve_root(spec: ModelSpec, root: int | None) -> int | None:
+    """None (each root type drawn from p), or the root type as model._root_type reads it."""
     try:
-        return _root_type(spec.m, root)
+        return None if root is None else _root_type(spec.m, root)
     except SpecValidationError:  # whose message names only the type index
-        raise SpecValidationError(f"root must be None, {RANDOM_ROOT!r} or a type index in "
-                                  f"[0, {spec.m}), got {root!r}") from None
+        raise SpecValidationError(f"root must be None or a type index in [0, {spec.m}), "
+                                  f"got {root!r}") from None
 
 
 def _rate(spec: ModelSpec, t: float) -> np.ndarray:
@@ -109,7 +105,7 @@ def _count_type(rate: np.ndarray, cap: int) -> type:
     return np.int32 if cap * (1.0 + float(rate.sum(axis=1).max())) < 2**28 else np.int64
 
 
-def _simulate_blocks(spec: ModelSpec, t: float, root: int | str, cap: int, seed: int,
+def _simulate_blocks(spec: ModelSpec, t: float, root: int | None, cap: int, seed: int,
                      blocks: range, size: int) -> tuple[np.ndarray, np.ndarray]:
     """The counts (size x m) and censored flags (size) of a group of consecutive blocks.
 
@@ -128,7 +124,7 @@ def _simulate_blocks(spec: ModelSpec, t: float, root: int | str, cap: int, seed:
     rngs = [np.random.default_rng(np.random.SeedSequence(entropy=[seed, b])) for b in blocks]
     cuts = starts.tolist() + [size]
     for rng, a, e in zip(rngs, cuts, cuts[1:]):
-        if root == RANDOM_ROOT:
+        if root is None:
             counts[np.arange(a, e), rng.choice(spec.m, size=e - a, p=spec.p)] = 1
         else:
             counts[a:e, root] = 1
@@ -150,7 +146,7 @@ def _simulate_blocks(spec: ModelSpec, t: float, root: int | str, cap: int, seed:
     return counts, censored
 
 
-def _run_groups(spec: ModelSpec, t: float, root: int | str, config: McConfig, threads: int,
+def _run_groups(spec: ModelSpec, t: float, root: int | None, config: McConfig, threads: int,
                 finish) -> list:
     """finish(rows, counts, censored) of every lockstep group, in group order,
     rows being its slice of the R replicates; t, root and threads come
@@ -173,7 +169,7 @@ def _run_groups(spec: ModelSpec, t: float, root: int | str, config: McConfig, th
     return [run(g) for g in groups]
 
 
-def sample_progeny_batch(spec: ModelSpec, t: float, root: int | str | None,
+def sample_progeny_batch(spec: ModelSpec, t: float, root: int | None,
                          config: McConfig, threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """All replicates as arrays (counts: R x m, censored: R); censored rows are
     lower bounds of the total progeny by type.
@@ -194,7 +190,7 @@ def sample_progeny_batch(spec: ModelSpec, t: float, root: int | str | None,
     return counts, censored
 
 
-def estimate_pmf(spec: ModelSpec, t: float, root: int | str | None, config: McConfig,
+def estimate_pmf(spec: ModelSpec, t: float, root: int | None, config: McConfig,
                  n_max: int, threads: int = 1) -> McPmfEstimate:
     """Empirical total-progeny pmf over the window of compositions with |n| <= n_max.
 
@@ -213,7 +209,7 @@ def estimate_pmf(spec: ModelSpec, t: float, root: int | str | None, config: McCo
     def reduce(rows: slice, counts: np.ndarray, censored: np.ndarray) -> int:
         sizes = sum(counts.T)  # adding the m columns is several times faster than sum(axis=1)
         with lock:  # one group at a time adds its counts and holds the ranking's int64 temporaries
-            kept = counts[~censored & (sizes <= n_max)].astype(np.int64)  # int32 products would wrap
+            kept = counts[~censored & (sizes <= n_max)]
             np.add(hist, np.bincount(_rank(kept.T), minlength=len(hist)), out=hist)
         return int(np.count_nonzero(censored))
 

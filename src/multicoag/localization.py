@@ -161,7 +161,6 @@ def empirical_rate(spec: ModelSpec, t: float, rho, n_list) -> RateSequence:
     """
     if np.any(spec.p <= 0.0):
         raise HypothesisError("rate evaluation requires p_i > 0 for every component")
-    pgf.require_subcritical(spec, t)
     r = as_simplex_point(rho, spec.m)
     n_list = [_count("n_list entry", n) for n in n_list]
     if not n_list or len(set(n_list)) < len(n_list):  # a repeated N adds no equation to the fit

@@ -28,7 +28,6 @@ Composition = tuple[int, ...]
 
 P_SUM_EXACT_TOL = 1e-12   # |sum(p) - 1| below this: accepted verbatim
 P_SUM_RENORM_TOL = 1e-6   # below this: renormalized with a warning; above: rejected
-MASS_FLOOR = 1e-300       # ODE snapshot entries below this read 0.0
 FORMS = ("reduced", "full")  # ODE loss term: frozen p, or the windowed mass vector
 
 
@@ -283,8 +282,8 @@ def _window_array(m: int, n_max: int) -> np.ndarray:
 def _rank(columns):
     """The window row of a composition with |n| >= 1 (a tuple), or of each (an int array's
     columns): with s_k the sum of the last k entries, sum_k C(s_k + k - 1, k) - 1 rows come
-    first in graded-lex order, and every product below stays under m times the window size."""
-    rank, s = -1, 0
+    first in graded-lex order; s starts in int64, and no product below reaches m * cells."""
+    rank, s = -1, np.int64(0)
     for k, v in enumerate(reversed(columns), 1):
         s, c = s + v, 1
         for i in range(1, k + 1):  # c = C(s + i - 1, i), exactly and in place

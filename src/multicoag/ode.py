@@ -43,7 +43,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import IntegrationError, NumericalBreakdownError, SpecValidationError
-from .model import (FORMS, MASS_FLOOR, ModelSpec, SizeDistribution, WindowMasses, _count,
+from .model import (FORMS, ModelSpec, SizeDistribution, WindowMasses, _count,
                     _populated, _time, _window_array, scatter_window)
 
 NEGATIVE_MASS_TOL = -1e-10  # entries in [tol, 0) are clipped; below it is an error
@@ -264,10 +264,10 @@ def integrate(spec: ModelSpec, window: TruncationWindow, config: OdeConfig,
     Steps are chosen so each record time is hit exactly: every interval
     between consecutive record times is split into equal steps no longer
     than config.dt.  Returns one snapshot per record time (default: just
-    t_end); each holds the whole window as a WindowMasses, with 0.0 where
-    the state is below MASS_FLOOR, and counts the cells that went negative
-    from FFT noise and were clipped to 0 at least once.  A non-finite state
-    raises IntegrationError, with no overflow warning.
+    t_end); each holds the whole window's state as a WindowMasses, and counts
+    the cells that went negative from FFT noise and were clipped to 0 at
+    least once.  A non-finite state raises IntegrationError, with no
+    overflow warning.
     """
     t_end = _time("t_end", t_end, positive=True)
     records = ([_time("record_times", r) for r in config.record_times]
@@ -284,7 +284,7 @@ def integrate(spec: ModelSpec, window: TruncationWindow, config: OdeConfig,
     snapshots: list[OdeSnapshot] = []
 
     def snap(at: float) -> OdeSnapshot:
-        masses = WindowMasses(spec.m, window.n_max, np.where(w >= MASS_FLOOR, w, 0.0))
+        masses = WindowMasses(spec.m, window.n_max, w.copy())
         dist = SizeDistribution(t=at, m=spec.m, entries=masses)
         mw = rhs.comp.T @ w
         return OdeSnapshot(dist=dist, mass=mw, flux_out=flux_acc, deficit=mass0 - float(mw.sum()),

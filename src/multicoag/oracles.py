@@ -1,11 +1,10 @@
-"""Test oracles: independent references the runtime never calls.
+"""Test oracle: an independent reference the runtime never calls.
 
-A power-series expansion of the progeny transforms (series_oracle), the
-one-type closed form (borel_oracle) and a finite-difference residual of the
-transform PDE (pde_residual).  Each is computed without the closed form of
-multicoag.analytic, so the two can check each other.
+A power-series expansion of the progeny transforms (series_oracle), computed
+without the closed form of multicoag.analytic, so the two can check each
+other.
 
-`import multicoag` does not load this module; the three names resolve from
+`import multicoag` does not load this module; series_oracle resolves from
 the package root on first use.
 """
 
@@ -16,18 +15,18 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CriticalityError, SpecValidationError
-from .model import Composition, ModelSpec, _count, _reals, _time, _window_array
+from .errors import SpecValidationError
+from .model import Composition, ModelSpec, _count, _window_array
 from . import pgf
 
 SERIES_CAP_MULTI = 30            # dense-table degree limit for m >= 2
 SERIES_CAP_SINGLE = 1000         # one-dimensional tables stay cheap far beyond 30
 ORACLE_REF_FRACTION = 0.9        # series_oracle expands at this share of T_c, then rescales
 ORACLE_MAX_GAIN = 2.0            # ... unless that would scale some |n| >= 2 coefficient up by more
+ORACLE_TABLE_BYTES = 64 << 20    # largest dense coefficient table series_oracle builds
 
 
-def series_oracle(spec: ModelSpec, t: float, degree_cap: int,
-                  max_table_bytes: int = 64 << 20) -> dict[tuple[int, Composition], float]:
+def series_oracle(spec: ModelSpec, t: float, degree_cap: int) -> dict[tuple[int, Composition], float]:
     """Progeny probabilities P(T_i = n) by power-series expansion, 1 <= |n| <= degree_cap.
 
     Deliberately independent of the closed form so the two can check each
@@ -49,9 +48,9 @@ def series_oracle(spec: ModelSpec, t: float, degree_cap: int,
     if cap > limit:
         raise SpecValidationError(f"degree_cap {cap} exceeds the m={spec.m} limit of {limit}")
     table_bytes = 8 * (cap + 1) ** spec.m
-    if table_bytes > max_table_bytes:
+    if table_bytes > ORACLE_TABLE_BYTES:
         raise SpecValidationError(
-            f"dense coefficient table would take {table_bytes} bytes > budget {max_table_bytes}"
+            f"dense coefficient table would take {table_bytes} bytes > budget {ORACLE_TABLE_BYTES}"
         )
     t_ref = ORACLE_REF_FRACTION * tc
     keys, coeffs, edges, decay = _reference_series(spec, cap, t_ref)
@@ -119,47 +118,3 @@ def _expand(spec: ModelSpec, t: float, cap: int) -> np.ndarray:
         grade = degree == d
         E[:, grade] = conv[:, grade] / d
     return transforms(E)
-
-
-def borel_oracle(t: float, n: int) -> float:
-    """Closed-form single-component solution w_n(t) = n^(n-2) t^(n-1) e^(-nt) / n!.
-
-    Valid for 0 < t < 1 (the single-component critical time); evaluated in
-    the log domain so large n does not overflow.
-    """
-    if not 0.0 < t < 1.0:
-        raise CriticalityError(f"closed form requires 0 < t < 1, got t={t!r}")
-    n = _count("n", n)
-    return math.exp((n - 2) * math.log(n) + (n - 1) * math.log(t) - n * t - math.lgamma(n + 1))
-
-
-def pde_residual(spec: ModelSpec, t: float, x, h: float) -> np.ndarray:
-    """Finite-difference residual of du/dt + (grad_x u) A (u - p) at (t, x).
-
-    u_i(t, x) = p_i g_i(t, x).  Second-order central differences with step h
-    (one-sided second-order at boundaries where t - h <= 0 or x_j - h < 0);
-    the residual should vanish like O(h^2) for t below the critical time.
-    """
-    h = _time("h", h, positive=True)
-    x = _reals("x", x)
-    tc = pgf.require_subcritical(spec, t)
-    if t + 2.0 * h >= tc:
-        raise CriticalityError("stencil reaches past T_c; shrink h or t")
-
-    def u(tt: float, xx: np.ndarray) -> np.ndarray:
-        g = pgf.solve_fixed_point(spec, tt, xx, tol=1e-14).g
-        return spec.p * g
-
-    def d_scalar(f, v: float) -> np.ndarray:
-        if v - h > 0.0:
-            return (f(v + h) - f(v - h)) / (2.0 * h)
-        return (-3.0 * f(v) + 4.0 * f(v + h) - f(v + 2.0 * h)) / (2.0 * h)
-
-    du_dt = d_scalar(lambda tt: u(tt, x), t)
-    jac = np.empty((spec.m, spec.m))
-    for j in range(spec.m):
-        e = np.zeros(spec.m)
-        e[j] = 1.0
-        jac[:, j] = d_scalar(lambda v: u(t, x + (v - x[j]) * e), x[j])
-    u0 = u(t, x)
-    return du_dt + jac @ (spec.A @ (u0 - spec.p))

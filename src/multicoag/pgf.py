@@ -25,8 +25,6 @@ FIXED_POINT_MAX_ITER = 10**6
 class FixedPointResult:
     g: np.ndarray
     iterations: int
-    residual: float
-    converged: bool
 
 
 def solve_fixed_point(spec: ModelSpec, t: float, x, tol: float = 1e-13) -> FixedPointResult:
@@ -51,7 +49,7 @@ def solve_fixed_point(spec: ModelSpec, t: float, x, tol: float = 1e-13) -> Fixed
         res = float(np.max(np.abs(g_new - g)))
         g = g_new
         if res <= tol:
-            return FixedPointResult(g=g, iterations=it, residual=res, converged=True)
+            return FixedPointResult(g=g, iterations=it)
     raise ConvergenceError(
         f"fixed point not converged after {FIXED_POINT_MAX_ITER} iterations, residual {res:.3e}")
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from multicoag import (
+    CriticalityError,
     McConfig,
     ModelSpec,
     OdeConfig,
@@ -20,7 +21,9 @@ from multicoag import (
     estimate_pmf,
     gelation_time,
     integrate,
+    pgf,
 )
+from multicoag.model import _count, _reals, _time
 
 # one "PASS/FAIL" line per acceptance criterion, printed in the summary
 ACCEPTANCE_LINES: list[str] = []
@@ -225,3 +228,48 @@ def tree_compositions(spec: ModelSpec, n_max: int) -> list[set]:
         if grown == trees:
             return trees
         trees = grown
+
+
+def borel_oracle(t: float, n: int) -> float:
+    """Closed-form single-component solution w_n(t) = n^(n-2) t^(n-1) e^(-nt) / n!.
+
+    Valid for 0 < t < 1 (the single-component critical time); evaluated in
+    the log domain so large n does not overflow.
+    """
+    if not 0.0 < t < 1.0:
+        raise CriticalityError(f"closed form requires 0 < t < 1, got t={t!r}")
+    n = _count("n", n)
+    return math.exp((n - 2) * math.log(n) + (n - 1) * math.log(t) - n * t - math.lgamma(n + 1))
+
+
+def pde_residual(spec: ModelSpec, t: float, x, h: float) -> np.ndarray:
+    """Finite-difference residual of du/dt + (grad_x u) A (u - p) at (t, x).
+
+    u_i(t, x) = p_i g_i(t, x).  Second-order central differences with step h
+    (one-sided second-order at boundaries where t - h <= 0 or x_j - h < 0);
+    the residual should vanish like O(h^2) for t below the critical time.
+    Independent of the closed form: g comes from the fixed-point iteration.
+    """
+    h = _time("h", h, positive=True)
+    x = _reals("x", x)
+    tc = pgf.require_subcritical(spec, t)
+    if t + 2.0 * h >= tc:
+        raise CriticalityError("stencil reaches past T_c; shrink h or t")
+
+    def u(tt: float, xx: np.ndarray) -> np.ndarray:
+        g = pgf.solve_fixed_point(spec, tt, xx, tol=1e-14).g
+        return spec.p * g
+
+    def d_scalar(f, v: float) -> np.ndarray:
+        if v - h > 0.0:
+            return (f(v + h) - f(v - h)) / (2.0 * h)
+        return (-3.0 * f(v) + 4.0 * f(v + h) - f(v + 2.0 * h)) / (2.0 * h)
+
+    du_dt = d_scalar(lambda tt: u(tt, x), t)
+    jac = np.empty((spec.m, spec.m))
+    for j in range(spec.m):
+        e = np.zeros(spec.m)
+        e[j] = 1.0
+        jac[:, j] = d_scalar(lambda v: u(t, x + (v - x[j]) * e), x[j])
+    u0 = u(t, x)
+    return du_dt + jac @ (spec.A @ (u0 - spec.p))

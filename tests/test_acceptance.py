@@ -17,14 +17,12 @@ import numpy as np
 
 from multicoag import (
     McConfig,
-    borel_oracle,
     compositions_up_to,
     empirical_rate,
     gamma,
     gamma_gradient,
     gelation_time,
     minimize_gamma,
-    pde_residual,
     progeny_pmf,
     sample_progeny_batch,
     series_oracle,
@@ -36,6 +34,8 @@ from multicoag import (
 from conftest import (
     ACCEPTANCE_LINES,
     BUILD_TIMES,
+    borel_oracle,
+    pde_residual,
     random_interior_simplex,
     random_subcritical_instance,
 )

@@ -18,7 +18,6 @@ from multicoag import (
     NumericalBreakdownError,
     SpecValidationError,
     as_composition,
-    borel_oracle,
     compositions_up_to,
     gelation_time,
     progeny_pmf,
@@ -30,7 +29,7 @@ from multicoag import (
 import multicoag
 from multicoag import analytic, oracles
 
-from conftest import random_subcritical_instance, traced_peak, tree_compositions
+from conftest import borel_oracle, random_subcritical_instance, traced_peak, tree_compositions
 
 # The 2^m principal-minor expansion of the closed form's determinant: a test
 # oracle only, which no solve goes through.
@@ -333,9 +332,10 @@ def test_series_oracle_matches_formula_bipartite(bip_spec):
     assert worst < 1e-12
 
 
-def test_series_oracle_memory_budget(m3_spec):
-    with pytest.raises(SpecValidationError):
-        series_oracle(m3_spec, 0.3, 12, max_table_bytes=1024)
+def test_series_oracle_memory_budget(m3_spec, monkeypatch):
+    monkeypatch.setattr(oracles, "ORACLE_TABLE_BYTES", 1024)
+    with pytest.raises(SpecValidationError, match=r"> budget 1024$"):
+        series_oracle(m3_spec, 0.3, 12)
 
 
 def _oracle_calls():

@@ -65,20 +65,20 @@ def test_invalid_root_rejected(bip_spec):
         sample_progeny_batch(bip_spec, -0.5, 0, McConfig(replicates=1))
 
 
-@pytest.mark.parametrize("root", [1.5, 1.0, True, "foo", "rnd", -1, "m"], ids=str)
+@pytest.mark.parametrize("root", [1.5, 1.0, True, "foo", "rnd", "random", -1, "m"], ids=str)
 def test_root_must_be_random_or_a_type_index(two_type_spec, root):
     # a float or bool root once ran as type int(root); "m" is the first index past the types;
-    # a mistyped "random" once read as if only a type index were allowed
+    # None is the random root, and no string spells it
     root = two_type_spec.m if root == "m" else root
     cfg = McConfig(replicates=1)
     for call in (lambda: sample_progeny_batch(two_type_spec, 0.3, root, cfg),
                  lambda: estimate_pmf(two_type_spec, 0.3, root, cfg, n_max=5)):
         with pytest.raises(SpecValidationError,
-                           match=r"^root must be None, 'random' or a type index in \[0, 2\), got "):
+                           match=r"^root must be None or a type index in \[0, 2\), got "):
             call()
 
 
-@pytest.mark.parametrize("root", [0, "random", None], ids=str)
+@pytest.mark.parametrize("root", [0, None], ids=str)
 def test_valid_roots_still_sample(two_type_spec, root):
     assert sample_progeny_batch(two_type_spec, 0.3, root, McConfig(replicates=1))[0].sum() >= 1
 
@@ -172,8 +172,9 @@ def test_mixture_identity_random_roots(bip_spec):
 
 # sha256 of counts.tobytes() + censored.tobytes() from sample_progeny_batch
 # with 2 * BLOCK_SIZE + 100 replicates at seed 7, keyed by (instance, t / T_c,
-# root, population cap).  Recorded from the all-rows sampler that drew every
-# row each generation; the live-row sampler must reproduce it bit for bit.
+# root, population cap), the root label "random" standing for root=None.
+# Recorded from the all-rows sampler that drew every row each generation;
+# the live-row sampler must reproduce it bit for bit.
 # numpy 2.x's Poisson sampler defines these streams: if a numpy release
 # changes it, this test fails first.
 STREAM_DIGESTS = {
@@ -230,9 +231,10 @@ STREAM_DIGESTS = {
 
 @pytest.mark.parametrize("key", sorted(STREAM_DIGESTS, key=str), ids=str)
 def test_stream_digest_pinned(key, request):
-    label, frac, root, cap = key
+    label, frac, root_label, cap = key
     spec = request.getfixturevalue({"demo": "asym2_spec", "m3": "m3_spec"}[label])
     t = frac * gelation_time(spec).T_c
+    root = None if root_label == "random" else root_label
     cfg = McConfig(replicates=2 * BLOCK_SIZE + 100, population_cap=cap, seed=7)
     for threads in (1, 2):
         counts, censored = sample_progeny_batch(spec, t, root, cfg, threads=threads)
@@ -249,7 +251,7 @@ def _simulate_block(spec, t, root, cap, rng, counts, censored):
     """
     size, m = counts.shape
     rate = t * spec.A * spec.p[None, :]  # children means per parent: rate[k, l]
-    if root == branching_mc.RANDOM_ROOT:
+    if root is None:
         roots = rng.choice(m, size=size, p=spec.p)
     else:
         roots = np.full(size, int(root))
@@ -280,7 +282,7 @@ def per_block_streams(spec, t, root, config):
 
 
 @pytest.mark.parametrize("cap", [100_000, 1_000])
-@pytest.mark.parametrize("root", [branching_mc.RANDOM_ROOT, 1])
+@pytest.mark.parametrize("root", [None, 1], ids=["random", "1"])
 @pytest.mark.parametrize("frac", [0.5, 0.95, 1.1])
 def test_lockstep_groups_reproduce_per_block_streams(frac, root, cap, m3_spec):
     # 11 blocks, the last of 100 rows: groups of 4, 4 and 3 blocks, so every
@@ -299,7 +301,7 @@ def test_single_replicate_is_row_zero_of_block_zero(asym2_spec):
     t = 0.95 * gelation_time(asym2_spec).T_c
     for seed in range(20):
         cfg = McConfig(replicates=1, population_cap=1_000, seed=seed)
-        want_counts, want_censored = per_block_streams(asym2_spec, t, branching_mc.RANDOM_ROOT, cfg)
+        want_counts, want_censored = per_block_streams(asym2_spec, t, None, cfg)
         counts, censored = sample_progeny_batch(asym2_spec, t, None, cfg)
         assert counts.tolist() == want_counts.tolist()
         assert censored.tolist() == want_censored.tolist()

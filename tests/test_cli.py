@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 
 import multicoag
-from multicoag import (ModelSpec, borel_oracle, branching_mc, compositions_up_to, solve,
-                       write_distribution_csv)
+from multicoag import ModelSpec, branching_mc, compositions_up_to, solve, write_distribution_csv
 from multicoag.cli import main
+
+from conftest import borel_oracle
 
 
 @pytest.fixture()
@@ -226,6 +227,18 @@ def test_localize_supercritical_exit_3(spec_files, capsys):
 
 def test_localize_zero_p_exit_4(spec_files, capsys):
     assert main(["localize", spec_files["zero_p"], "--t", "0.2"]) == 4
+
+
+def test_localize_exits_5_when_the_minimizer_runs_out_of_iterations(spec_files, capsys,
+                                                                     monkeypatch):
+    from multicoag import localization
+
+    minimize = localization.minimize_gamma
+    monkeypatch.setattr(localization, "minimize_gamma",
+                        lambda spec, t: minimize(spec, t, max_iter=1))
+    assert main(["localize", spec_files["demo"], "--t", "0.3"]) == 5
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: numerical failure: mirror descent did not")
 
 
 def test_localize_rate_csv(spec_files, tmp_path, capsys):

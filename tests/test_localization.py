@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from multicoag import (
+    ConvergenceError,
     CriticalityError,
     HypothesisError,
     ModelSpec,
@@ -136,6 +137,11 @@ def test_minimize_gamma_guards(stoch_spec):
     zero_p = ModelSpec(m=2, A=[[1.0, 1.0], [1.0, 1.0]], p=[1.0, 0.0])
     with pytest.raises(HypothesisError):
         minimize_gamma(zero_p, 0.2)
+
+
+def test_minimize_gamma_raises_when_its_iterations_run_out(asym2_spec):
+    with pytest.raises(ConvergenceError, match=r"^mirror descent did not reach tol=1e-10 in 1 iterations"):
+        minimize_gamma(asym2_spec, 0.3, max_iter=1)
 
 
 def test_optimizer_certificate(m3_spec):

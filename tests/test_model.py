@@ -18,7 +18,6 @@ from multicoag import (
     TruncationWindow,
     as_composition,
     as_simplex_point,
-    borel_oracle,
     compositions_up_to,
     empirical_rate,
     estimate_pmf,
@@ -28,7 +27,6 @@ from multicoag import (
     integrate,
     mass_vector,
     minimize_gamma,
-    pde_residual,
     sample_progeny_batch,
     solve,
     solve_fixed_point,
@@ -40,7 +38,7 @@ from multicoag import (
 from multicoag import model
 from multicoag.model import WindowMasses, scatter_window
 
-from conftest import graded_lex_compositions, traced_peak
+from conftest import borel_oracle, graded_lex_compositions, pde_residual, traced_peak
 
 
 def test_validate_minimal_instances(m1_spec, bip_spec):
@@ -629,6 +627,16 @@ def test_every_window_row_finds_itself(m, n_max):
     assert np.array_equal(scatter_window(m, n_max, window), values)
     sparse = scatter_window(m, n_max, {comps[i]: values[i] for i in picks})
     assert np.array_equal(np.flatnonzero(sparse), picks) and np.array_equal(sparse[picks], values[picks])
+
+
+def test_rank_of_int32_columns_is_the_exact_rank():
+    # in the m=3, n_max=2401 window (2.3e9 cells) products in int32 would wrap
+    rows = [(1, 1200, 1200), (2400, 0, 1), (0, 0, 2401)]
+    want = [sum(math.comb(sum(n[-k:]) + k - 1, k) for k in range(1, 4)) - 1 for n in rows]
+    assert max(want) < model._cells(3, 2401)
+    got = model._rank(np.array(rows, dtype=np.int32).T)
+    assert got.dtype == np.int64 and got.tolist() == want
+    assert [model._rank(n) for n in rows] == want
 
 
 @pytest.mark.parametrize("key", [(4, 0), (2, 2), (0, 0), (1,), (1, 0, 0), (-1, 2), (2, -1),

@@ -18,7 +18,6 @@ from multicoag import (
     SizeDistribution,
     SpecValidationError,
     TruncationWindow,
-    borel_oracle,
     derivative,
     gelation_time,
     integrate,
@@ -31,7 +30,7 @@ from multicoag.cli import main
 from multicoag.model import WindowMasses, _window_array
 from multicoag.ode import FORMS, _fft_length
 
-from conftest import random_sparse_distribution
+from conftest import borel_oracle, random_sparse_distribution
 
 
 def pair_sum_derivative(spec, dist, window, form):
@@ -525,12 +524,12 @@ def test_snapshot_covers_the_window_with_the_mass_floor(m1_spec, bip_red_60, mon
     snap = bip_red_60[1.0]
     assert list(snap.dist.entries) == list(compositions_up_to(2, 60))
     assert snap.dist.entries[(2, 0)] == 0.0  # like types never merge here
-    # a state below MASS_FLOOR = 1e-300 is recorded as 0.0, one at or above it as is
+    # the snapshot holds the integrated state as it is, tiny and subnormal masses included
     state = np.array([0.5, 2e-300, 1e-310, 0.0, 0.25])
     monkeypatch.setattr(ode, "_step", lambda rhs, w, acc, h: (state.copy(), acc))
     snap = integrate(m1_spec, TruncationWindow(5), OdeConfig(dt=0.1), t_end=0.1)[-1]
     assert list(snap.dist.entries.items()) == [
-        ((1,), 0.5), ((2,), 2e-300), ((3,), 0.0), ((4,), 0.0), ((5,), 0.25)]
+        ((1,), 0.5), ((2,), 2e-300), ((3,), 1e-310), ((4,), 0.0), ((5,), 0.25)]
 
 
 def test_snapshots_count_the_clipped_cells(m1_spec, monkeypatch):

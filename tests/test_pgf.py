@@ -6,22 +6,31 @@ import numpy as np
 import pytest
 
 from multicoag import (
+    ConvergenceError,
     CriticalityError,
     ModelSpec,
     SpecValidationError,
     gelation_time,
-    pde_residual,
     series_oracle,
     solve_fixed_point,
 )
+from multicoag import pgf
 from multicoag.pgf import require_subcritical
+
+from conftest import pde_residual
 
 
 def test_fixed_point_subcritical_extinction(m1_spec, bip_spec):
     for spec, t in ((m1_spec, 0.5), (bip_spec, 1.0)):
         res = solve_fixed_point(spec, t, np.zeros(spec.m))
-        assert res.converged
         assert np.all(np.abs(res.g - 1.0) < 1e-10)
+
+
+def test_fixed_point_raises_when_its_iterations_run_out(m1_spec, monkeypatch):
+    # a result is returned only once converged: running out of iterations raises
+    monkeypatch.setattr(pgf, "FIXED_POINT_MAX_ITER", 2)
+    with pytest.raises(ConvergenceError, match=r"^fixed point not converged after 2 iterations"):
+        solve_fixed_point(m1_spec, 0.5, [0.0])
 
 
 def test_fixed_point_supercritical_m1(m1_spec):
