@@ -19,7 +19,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,23 +52,6 @@ EXIT_VALIDATION = 2
 EXIT_CRITICALITY = 3
 EXIT_HYPOTHESIS = 4
 EXIT_NUMERICAL = 5
-
-
-@dataclass
-class RunManifest:
-    command: str
-    argv: list[str]
-    spec_hash: str
-    version: str
-    seed: int | None
-    wall_time_s: float
-    outputs: list[str]
-    summary: dict = field(default_factory=dict)
-
-    def write(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(self.__dict__, f, indent=2, sort_keys=True)
-            f.write("\n")
 
 
 def _check_args(args: argparse.Namespace) -> None:
@@ -127,18 +109,30 @@ def _manifest(args: argparse.Namespace, spec: ModelSpec, outputs: list[str],
               t0: float, seed: int | None = None, summary: dict | None = None) -> None:
     if not outputs:
         return
-    man = RunManifest(
-        command=args.command,
-        argv=sys.argv[1:] if args.raw_argv is None else args.raw_argv,
-        spec_hash=spec.spec_hash(),
-        version=__version__,
-        seed=seed,
-        wall_time_s=round(time.perf_counter() - t0, 6),
-        outputs=outputs,
-    )
-    if summary:
-        man.summary = summary
-    man.write(outputs[0] + ".manifest.json")
+    manifest = {
+        "command": args.command,
+        "argv": sys.argv[1:] if args.raw_argv is None else args.raw_argv,
+        "spec_hash": spec.spec_hash(),
+        "version": __version__,
+        "seed": seed,
+        "wall_time_s": round(time.perf_counter() - t0, 6),
+        "outputs": outputs,
+        "summary": summary or {},
+    }
+    with open(outputs[0] + ".manifest.json", "w", encoding="utf-8") as f:
+        json.dump(manifest, f, indent=2, sort_keys=True)
+        f.write("\n")
+
+
+def _ode_snapshot(spec: ModelSpec, args: argparse.Namespace, form: str):
+    """The ODE state at --t on the --nmax window, from steps no longer than --dt."""
+    from . import ode
+
+    cfg = ode.OdeConfig(dt=args.dt, form=form)
+    try:
+        return ode.integrate(spec, ode.TruncationWindow(args.nmax), cfg, t_end=args.t)[-1]
+    except SpecValidationError as e:  # the spec is valid: the fault is in --t and --dt
+        raise CoagulationError(f"--t/--dt: {e}") from None
 
 
 def cmd_gelation(args: argparse.Namespace) -> int:
@@ -161,28 +155,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     summary: dict = {"method": args.method, "t": args.t, "nmax": args.nmax}
     seed = None
 
-    if args.method == "analytic":
-        from . import analytic
-
-        if args.t == 0.0:
-            initial = SizeDistribution.monodisperse(spec).entries
-            masses = WindowMasses(spec.m, args.nmax, scatter_window(spec.m, args.nmax, initial))
-            dist = SizeDistribution(t=0.0, m=spec.m, entries=masses)
-        else:
-            dist = analytic.solve_window(spec, args.t, args.nmax)
-        write_distribution_csv(args.out, spec.m, dist.entries.items())
-        mv = mass_vector(dist)
-        summary["mass_vector"] = mv.tolist()
-    elif args.method == "ode":
-        from . import ode
-
-        cfg = ode.OdeConfig(dt=args.dt, form=args.form)
-        snap = ode.integrate(spec, ode.TruncationWindow(args.nmax), cfg, t_end=args.t)[-1]
-        write_distribution_csv(args.out, spec.m, snap.dist.entries.items())
-        mv = snap.mass
-        summary.update(mass_vector=mv.tolist(), deficit=snap.deficit, flux_out=snap.flux_out,
-                       clipped_cells=snap.clipped, dt=args.dt, form=args.form)
-    else:  # mc
+    if args.method == "mc":
         from . import branching_mc
 
         seed = args.seed
@@ -193,14 +166,27 @@ def cmd_solve(args: argparse.Namespace) -> int:
         write_distribution_csv(args.out, spec.m, rows, value_headers=("freq", "se"))
         summary.update(replicates=args.replicates, population_cap=args.cap, seed=args.seed,
                        censoring_rate=est.censoring_rate)
-        mv = None
-
-    if mv is not None:
-        print("mass vector:", " ".join(f"{v:.17g}" for v in mv))
-        if "deficit" in summary:
-            print(f"deficit: {summary['deficit']:.17g}")
+        print(f"censoring rate: {est.censoring_rate:.17g}")
     else:
-        print(f"censoring rate: {summary['censoring_rate']:.17g}")
+        if args.method == "ode":
+            snap = _ode_snapshot(spec, args, args.form)
+            dist = snap.dist
+            summary.update(deficit=snap.deficit, flux_out=snap.flux_out,
+                           clipped_cells=snap.clipped, dt=args.dt, form=args.form)
+        elif args.t == 0.0:
+            initial = SizeDistribution.monodisperse(spec).entries
+            masses = WindowMasses(spec.m, args.nmax, scatter_window(spec.m, args.nmax, initial))
+            dist = SizeDistribution(t=0.0, m=spec.m, entries=masses)
+        else:
+            from . import analytic
+
+            dist = analytic.solve_window(spec, args.t, args.nmax)
+        write_distribution_csv(args.out, spec.m, dist.entries.items())
+        mv = mass_vector(dist)
+        summary["mass_vector"] = mv.tolist()
+        print("mass vector:", " ".join(f"{v:.17g}" for v in mv))
+        if args.method == "ode":
+            print(f"deficit: {snap.deficit:.17g}")
     print(f"wrote {args.out}")
     _manifest(args, spec, [args.out], t0, seed=seed, summary=summary)
     return EXIT_OK
@@ -241,12 +227,11 @@ def cmd_localize(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    from . import analytic, branching_mc, ode
+    from . import analytic, branching_mc
 
     spec = _load_spec(args.spec)
     exact = analytic.solve_window(spec, args.t, args.nmax).entries
-    cfg = ode.OdeConfig(dt=args.dt, form="reduced")
-    snap = ode.integrate(spec, ode.TruncationWindow(args.nmax), cfg, t_end=args.t)[-1]
+    snap = _ode_snapshot(spec, args, "reduced")
 
     gap_ode = float(np.max(np.abs(exact.array - snap.dist.entries.array)))
     ode_ok = gap_ode <= args.tol_ode

@@ -49,7 +49,8 @@ def _rate(spec: ModelSpec, t: float, r: np.ndarray) -> tuple[np.ndarray, float, 
     live = r > 0.0
     if np.any(live & (s <= 0.0)):
         return s, np.inf, None
-    log_ratio = np.log(r[live] / (t * s[live]))  # 0 ln 0 = 0 on the boundary
+    # 0 ln 0 = 0 on the boundary; log t apart, so a tiny t cannot overflow r / (t s)
+    log_ratio = np.log(r[live] / s[live]) - np.log(t)
     value = float(np.sum(t * s) - 1.0) + float(np.sum(r[live] * log_ratio))
     return s, value, log_ratio + 1.0 + (spec.A * spec.p[None, :]) @ (t - r / s) if live.all() else None
 

@@ -432,13 +432,9 @@ class SizeDistribution:
 
     @classmethod
     def monodisperse(cls, spec: ModelSpec) -> "SizeDistribution":
-        """Initial condition: w at the unit vector e_i equals p_i."""
-        entries: dict[Composition, float] = {}
-        for i in spec.support:
-            e = [0] * spec.m
-            e[i] = 1
-            entries[tuple(e)] = float(spec.p[i])
-        return cls(t=0.0, m=spec.m, entries=entries)
+        """Initial condition: w at the unit vector e_i equals p_i, on the n_max = 1 window
+        (whose order is e_1, ..., e_m)."""
+        return cls(t=0.0, m=spec.m, entries=WindowMasses(spec.m, 1, spec.p))
 
     @classmethod
     def from_csv(cls, path: str, t: float = 0.0) -> "SizeDistribution":

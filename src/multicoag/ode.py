@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import IntegrationError, NumericalBreakdownError, SpecValidationError
 from .model import (FORMS, ModelSpec, SizeDistribution, WindowMasses, _count,
-                    _populated, _time, _window_array, scatter_window)
+                    _populated, _time, _window_array, mass_vector, scatter_window)
 
 NEGATIVE_MASS_TOL = -1e-10  # entries in [tol, 0) are clipped; below it is an error
 
@@ -81,9 +81,8 @@ class OdeSnapshot:
     """State at a record time, with conservation diagnostics attached."""
 
     dist: SizeDistribution
-    mass: np.ndarray       # instantaneous windowed mass vector
     flux_out: float        # accumulated mass that left through the window boundary
-    deficit: float         # |m(0)| - |m(t)| of the truncated system
+    deficit: float         # |p| - sum of mass_vector(dist): the truncated system's loss
     clipped: int           # distinct cells clipped from FFT noise to 0 so far
 
 
@@ -263,11 +262,12 @@ def integrate(spec: ModelSpec, window: TruncationWindow, config: OdeConfig,
 
     Steps are chosen so each record time is hit exactly: every interval
     between consecutive record times is split into equal steps no longer
-    than config.dt.  Returns one snapshot per record time (default: just
-    t_end); each holds the whole window's state as a WindowMasses, and counts
-    the cells that went negative from FFT noise and were clipped to 0 at
-    least once.  A non-finite state raises IntegrationError, with no
-    overflow warning.
+    than config.dt; an interval that needs 2**63 or more steps (the int64
+    line of model._cells) raises SpecValidationError before the first step.
+    Returns one snapshot per record time (default: just t_end); each holds
+    the whole window's state as a WindowMasses, and counts the cells that
+    went negative from FFT noise and were clipped to 0 at least once.  A
+    non-finite state raises IntegrationError, with no overflow warning.
     """
     t_end = _time("t_end", t_end, positive=True)
     records = ([_time("record_times", r) for r in config.record_times]
@@ -275,32 +275,31 @@ def integrate(spec: ModelSpec, window: TruncationWindow, config: OdeConfig,
     if not all(0.0 <= r <= t_end for r in records) or sorted(records) != records:
         raise SpecValidationError("record_times must be sorted within [0, t_end]")
 
+    steps = []
+    for start, target in zip([0.0, *records], records):
+        ratio = (target - start) / config.dt - 1e-12
+        if not ratio < 2**63:  # inf included: no int64 count, and no run that would end
+            raise SpecValidationError(f"t_end={t_end!r} with dt={config.dt!r} needs 2**63 "
+                                      "or more RK4 steps")
+        steps.append(max(1, math.ceil(ratio)) if target > start else 0)
+
     rhs = _WindowOperator(spec, window.n_max, config.form)
     w = scatter_window(spec.m, window.n_max, SizeDistribution.monodisperse(spec).entries)
-    mass0 = float(spec.p.sum())
     clipped = np.zeros(len(w), dtype=bool)
     flux_acc = 0.0
-    t = 0.0
     snapshots: list[OdeSnapshot] = []
-
-    def snap(at: float) -> OdeSnapshot:
-        masses = WindowMasses(spec.m, window.n_max, w.copy())
-        dist = SizeDistribution(t=at, m=spec.m, entries=masses)
-        mw = rhs.comp.T @ w
-        return OdeSnapshot(dist=dist, mass=mw, flux_out=flux_acc, deficit=mass0 - float(mw.sum()),
-                           clipped=int(clipped.sum()))
-
-    for target in records:
-        span = target - t
-        if span > 0.0:
-            n_steps = max(1, math.ceil(span / config.dt - 1e-12))
-            h = span / n_steps
+    for start, target, n_steps in zip([0.0, *records], records, steps):
+        if n_steps:
+            h = (target - start) / n_steps
             with np.errstate(over="ignore", invalid="ignore"):
                 for _ in range(n_steps):
                     w, flux_acc = _step(rhs, w, flux_acc, h)
                     _check_state(w, clipped)
-            t = target
-        snapshots.append(snap(target))
+        masses = WindowMasses(spec.m, window.n_max, w.copy())
+        dist = SizeDistribution(t=target, m=spec.m, entries=masses)
+        snapshots.append(OdeSnapshot(dist=dist, flux_out=flux_acc,
+                                     deficit=float(spec.p.sum()) - float(mass_vector(dist).sum()),
+                                     clipped=int(clipped.sum())))
     return snapshots
 
 

@@ -241,6 +241,18 @@ def test_localize_exits_5_when_the_minimizer_runs_out_of_iterations(spec_files, 
     assert len(err) == 1 and err[0].startswith("error: numerical failure: mirror descent did not")
 
 
+def test_localize_at_a_time_where_t_sigma_underflows_exits_5(spec_files, capsys, monkeypatch):
+    # the rate stays finite at t = 1e-320, so the run ends in the minimizer, not a traceback
+    from multicoag import localization
+
+    minimize = localization.minimize_gamma
+    monkeypatch.setattr(localization, "minimize_gamma",
+                        lambda spec, t: minimize(spec, t, max_iter=50))
+    assert main(["localize", spec_files["demo"], "--t", "1e-320"]) == 5
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: numerical failure: mirror descent did not")
+
+
 def test_localize_rate_csv(spec_files, tmp_path, capsys):
     rate_out = tmp_path / "rate.csv"
     assert main(["localize", spec_files["m1"], "--t", "0.5",
@@ -371,6 +383,11 @@ BIP_MODEL = '{"m": 2, "A": [[0.0, 1.0], [1.0, 0.0]], "p": [0.5, 0.5]}'
     (M1_MODEL, ["solve", "--t", "0.5", "--nmax", "0", "--out", "OUT"], False),
     (M1_MODEL, ["solve", "--t", "nan", "--nmax", "5", "--method", "ode", "--out", "OUT"], False),
     (M1_MODEL, ["compare", "--t", "0.5", "--nmax", "5", "--dt", "inf"], False),
+    # a step count at or past 2**63 overflowed, or ran for about 1e300 steps
+    (M1_MODEL, ["solve", "--t", "0.5", "--nmax", "3", "--method", "ode", "--dt", "1e-320",
+                "--out", "OUT"], False),
+    (M1_MODEL, ["solve", "--t", "1e300", "--nmax", "3", "--method", "ode", "--out", "OUT"], False),
+    (M1_MODEL, ["compare", "--t", "0.5", "--nmax", "3", "--dt", "1e-320"], False),
     # a time before the start is an argument fault; code 3 is for t at or past T_c
     (M1_MODEL, ["solve", "--t", "0", "--nmax", "5", "--method", "ode", "--out", "OUT"], False),
     (M1_MODEL, ["solve", "--t", "-1", "--nmax", "5", "--out", "OUT"], False),
@@ -409,7 +426,7 @@ BIP_MODEL = '{"m": 2, "A": [[0.0, 1.0], [1.0, 0.0]], "p": [0.5, 0.5]}'
         "A_as_text", "p_as_text", "A_boolean", "p_boolean", "nested_too_deep",
         "rate_check_not_numbers", "n_list_not_numbers", "n_list_fractional", "n_list_repeated",
         "rate_out_without_rate_check", "nmax_0",
-        "t_nan", "dt_inf", "ode_t_0", "analytic_t_negative", "mc_t_negative", "compare_t_0",
+        "t_nan", "dt_inf", "ode_dt_1e-320", "ode_t_1e300", "compare_dt_1e-320", "ode_t_0", "analytic_t_negative", "mc_t_negative", "compare_t_0",
         "localize_t_0", "localize_t_negative", "mc_seed_negative", "compare_seed_negative",
         "tol_ode_nan", "tol_ode_negative", "mc_sigma_negative", "mc_sigma_inf",
         "deficit_tol_nan", "deficit_tol_negative", "mc_floor_above_1", "mc_floor_nan",

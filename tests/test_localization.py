@@ -144,6 +144,17 @@ def test_minimize_gamma_raises_when_its_iterations_run_out(asym2_spec):
         minimize_gamma(asym2_spec, 0.3, max_iter=1)
 
 
+def test_rate_at_a_time_where_t_sigma_underflows():
+    # at t = 1e-320, rho / (t sigma) overflows; with log t taken apart, Gamma stays finite
+    spec = ModelSpec(m=2, A=[[1.0, 2.0], [2.0, 1.0]], p=[0.7, 0.3])
+    t, rho = 1e-320, [0.5, 0.5]
+    got = gamma(spec, t, rho) - gamma(spec, 2 * t, rho)
+    assert got == pytest.approx(math.log(2.0) - t * float(sigma(spec, rho).sum()), rel=1e-9)
+    assert np.all(np.isfinite(gamma_gradient(spec, t, rho)))
+    with pytest.raises(ConvergenceError):
+        minimize_gamma(spec, t, max_iter=50)
+
+
 def test_optimizer_certificate(m3_spec):
     tc = gelation_time(m3_spec).T_c
     res = minimize_gamma(m3_spec, 0.5 * tc)

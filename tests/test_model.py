@@ -279,6 +279,14 @@ def test_kernel_symmetric_after_symmetrization():
         assert merge_rate(spec, k, l) == pytest.approx(merge_rate(spec, l, k), abs=1e-14)
 
 
+def test_monodisperse_is_the_unit_window():
+    # one window value per type, in the order e_1, ..., e_m, and 0.0 at a type with p_i = 0
+    spec = ModelSpec(m=3, A=np.ones((3, 3)), p=[0.6, 0.0, 0.4])
+    entries = SizeDistribution.monodisperse(spec).entries
+    assert isinstance(entries, WindowMasses) and entries.n_max == 1
+    assert list(entries.items()) == [((1, 0, 0), 0.6), ((0, 1, 0), 0.0), ((0, 0, 1), 0.4)]
+
+
 def test_mass_vector_examples(bip_spec):
     dist = SizeDistribution.monodisperse(bip_spec)
     assert np.allclose(mass_vector(dist), [0.5, 0.5])

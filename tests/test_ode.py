@@ -263,7 +263,7 @@ def test_modular_axis_snapshots_are_the_graded_box_ones(request, name, n_max, fo
     cfg = OdeConfig(dt=1e-2, form=form, record_times=(0.2, 0.5))
 
     def run():
-        return [(s.dist.entries.array.tobytes(), s.mass.tobytes(), s.flux_out, s.clipped)
+        return [(s.dist.entries.array.tobytes(), mass_vector(s.dist).tobytes(), s.flux_out, s.clipped)
                 for s in integrate(spec, TruncationWindow(n_max), cfg, t_end=0.5)]
 
     got = run()
@@ -316,7 +316,7 @@ def test_concurrent_trajectories_match_the_serial_run(m3_spec):
     cfg = OdeConfig(dt=1e-3, form="full", record_times=(0.1, 0.3))
 
     def run():
-        return [(s.dist.entries.array.tobytes(), s.mass.tobytes(), s.flux_out, s.deficit,
+        return [(s.dist.entries.array.tobytes(), mass_vector(s.dist).tobytes(), s.flux_out, s.deficit,
                  s.clipped) for s in integrate(m3_spec, window, cfg, t_end=0.3)]
 
     serial = run()
@@ -454,12 +454,12 @@ def test_integrate_m1_against_closed_form(m1_red_60):
     assert snap.dist.entries[(1,)] == pytest.approx(math.exp(-0.5), abs=1e-8)
     for n in range(1, 21):
         assert snap.dist.entries[(n,)] == pytest.approx(borel_oracle(0.5, n), abs=1e-10)
-    assert float(snap.mass.sum()) == pytest.approx(1.0, abs=1e-6)
+    assert float(mass_vector(snap.dist).sum()) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_integrate_bipartite_mass_conservation(bip_red_60):
     snap = bip_red_60[1.0]
-    assert np.allclose(snap.mass, [0.5, 0.5], atol=1e-6)
+    assert np.allclose(mass_vector(snap.dist), [0.5, 0.5], atol=1e-6)
     assert snap.deficit < 1e-6
 
 
@@ -504,6 +504,17 @@ def test_integrate_validates_record_times(m1_spec):
                   OdeConfig(record_times=(0.2, 0.9)), t_end=0.5)
 
 
+@pytest.mark.parametrize("dt, t_end, record_times", [(5e-324, 0.5, None), (1e-300, 0.5, None),
+                                                     (1e-3, 1e300, None), (1.0, 2.0**63, None),
+                                                     (1e-300, 0.5, (0.0, 0.1))])
+def test_integrate_refuses_step_counts_past_int64(m1_spec, monkeypatch, dt, t_end, record_times):
+    # refused before the operator is built, so before the first step
+    monkeypatch.setattr(ode, "_WindowOperator", None)
+    with pytest.raises(SpecValidationError, match=r"t_end=.* with dt=.* needs 2\*\*63"):
+        integrate(m1_spec, TruncationWindow(3), OdeConfig(dt=dt, record_times=record_times),
+                  t_end=t_end)
+
+
 def test_ode_config_validation(m1_spec):
     with pytest.raises(SpecValidationError):
         OdeConfig(dt=-0.1)
@@ -513,11 +524,6 @@ def test_ode_config_validation(m1_spec):
         derivative(m1_spec, SizeDistribution.monodisperse(m1_spec), TruncationWindow(5), form="x")
     with pytest.raises(SpecValidationError):
         TruncationWindow(0)
-
-
-def test_snapshot_masses_match_distribution(m1_red_60, m1_spec):
-    snap = m1_red_60[0.9]
-    assert np.allclose(snap.mass, mass_vector(snap.dist), atol=1e-12)
 
 
 def test_snapshot_covers_the_window_with_the_mass_floor(m1_spec, bip_red_60, monkeypatch):

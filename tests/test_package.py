@@ -36,7 +36,7 @@ print([f.__module__ for f in ({", ".join(ORACLES)},)])
 
 # Runs one command through main, then prints which of WATCHED it loaded.
 WATCHED = ("multicoag.analytic", "multicoag.localization", "multicoag.ode",
-           "multicoag.branching_mc", "concurrent.futures", "_hashlib")
+           "multicoag.branching_mc", "concurrent.futures", "_hashlib", "numpy.random")
 CLI_PROBE = f"""
 import json, sys
 from multicoag.cli import main
@@ -70,14 +70,17 @@ def test_import_boundary():
 @pytest.mark.parametrize("argv, not_loaded", [
     (["gelation", "demo.json"], WATCHED),
     (["solve", "demo.json", "--t", "0.35", "--nmax", "6", "--method", "analytic",
-      "--out", "w.csv"], WATCHED[2:5]),
+      "--out", "w.csv"], (*WATCHED[2:5], "numpy.random")),
+    (["solve", "demo.json", "--t", "0.35", "--nmax", "6", "--method", "ode", "--out", "w.csv"],
+     (*WATCHED[:2], *WATCHED[3:5], "numpy.random")),
     (["localize", "demo.json", "--t", "0.4"], WATCHED[2:]),
     (["compare", "demo.json", "--t", "0.2", "--nmax", "8", "--mc-replicates", "2000"],
      ("concurrent.futures",)),
-], ids=["gelation", "solve", "localize", "compare"])
+], ids=["gelation", "solve", "solve_ode", "localize", "compare"])
 def test_each_command_loads_only_what_it_runs(tmp_path, argv, not_loaded):
-    # the modules a command never calls, the thread pool, and OpenSSL (which only
-    # manifests and numpy.random need) stay unloaded
+    # the modules a command never calls, the thread pool, OpenSSL (which only
+    # manifests and numpy.random need) and numpy.random (about 5 MiB of RSS,
+    # which only the Monte Carlo route needs) stay unloaded
     (tmp_path / "demo.json").write_text(json.dumps(
         {"m": 2, "A": [[1.0, 2.0], [2.0, 1.0]], "p": [0.7, 0.3]}))
     proc = _fresh_python("-c", CLI_PROBE, *argv, cwd=tmp_path)
